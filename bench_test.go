@@ -187,10 +187,6 @@ func BenchmarkAblationTinyStoreSpills(b *testing.B) {
 	benchRun(b, func(c *gminer.Config) { c.StoreMemCapacity = 32 })
 }
 
-func BenchmarkAblationTCPTransport(b *testing.B) {
-	benchRun(b, func(c *gminer.Config) { c.UseTCP = true })
-}
-
 // BenchmarkAblationProcessLayout compares the paper's two deployment
 // modes (§5.1): one worker per node with many threads (process-level
 // cache shared by all cores) vs many single-threaded workers (no cache

@@ -174,6 +174,7 @@ type WorkRep struct {
 	Agg           string               `json:"agg"`
 	AllocsPerTask float64              `json:"allocs_per_task"`
 	TotalAllocMB  float64              `json:"total_alloc_mb"`
+	PeakJobMB     float64              `json:"peak_job_mb"`
 	RunsIdentical bool                 `json:"runs_identical"`
 	Phases        []trace.PhaseSummary `json:"phases"`
 }
@@ -673,7 +674,9 @@ func runWorkload(name string, g *graph.Graph, a core.Algorithm) (WorkRep, error)
 		UseLSH:           true,
 		Stealing:         false,
 	}
-	run := func() (*cluster.Result, uint64, error) {
+	// run returns the job's result with its heap allocation count and
+	// bytes (MemStats deltas around the job).
+	run := func() (*cluster.Result, uint64, uint64, error) {
 		cfg := base
 		cfg.Tracer = trace.New(cfg.Workers+1, 0).Enable()
 		runtime.GC()
@@ -681,13 +684,13 @@ func runWorkload(name string, g *graph.Graph, a core.Algorithm) (WorkRep, error)
 		runtime.ReadMemStats(&m0)
 		res, err := cluster.Run(g, a, cfg)
 		runtime.ReadMemStats(&m1)
-		return res, m1.Mallocs - m0.Mallocs, err
+		return res, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc, err
 	}
-	first, _, err := run()
+	first, _, _, err := run()
 	if err != nil {
 		return WorkRep{}, err
 	}
-	second, mallocs, err := run()
+	second, mallocs, allocBytes, err := run()
 	if err != nil {
 		return WorkRep{}, err
 	}
@@ -702,7 +705,8 @@ func runWorkload(name string, g *graph.Graph, a core.Algorithm) (WorkRep, error)
 		TasksDone:     res.Total.TasksDone,
 		Records:       len(res.Records),
 		Agg:           fmt.Sprintf("%v", res.AggGlobal),
-		TotalAllocMB:  float64(mallocBytes(res)) / (1 << 20),
+		TotalAllocMB:  float64(allocBytes) / (1 << 20),
+		PeakJobMB:     float64(res.Total.PeakBytes) / (1 << 20),
 		RunsIdentical: identical,
 		Phases:        res.Phases,
 	}
@@ -717,10 +721,6 @@ func runWorkload(name string, g *graph.Graph, a core.Algorithm) (WorkRep, error)
 	}
 	return wr, nil
 }
-
-// mallocBytes approximates the job's heap traffic with the runtime's
-// peak-memory counter (bytes held by task stores and caches at peak).
-func mallocBytes(res *cluster.Result) int64 { return res.Total.PeakBytes }
 
 func golden(res *cluster.Result) string {
 	s := fmt.Sprintf("agg=%v\n", res.AggGlobal)

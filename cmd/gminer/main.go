@@ -60,7 +60,6 @@ func main() {
 		part    = flag.String("partitioner", "bdg", "partitioner: bdg, hash, skewed, blocked")
 		lsh     = flag.Bool("lsh", true, "enable the LSH task priority queue")
 		steal   = flag.Bool("steal", true, "enable task stealing")
-		useTCP  = flag.Bool("tcp", false, "run over loopback TCP instead of the in-process network")
 
 		latency   = flag.Duration("latency", 0, "simulated network latency")
 		bandwidth = flag.Int64("bandwidth", 0, "simulated network bandwidth (bytes/s, 0=unlimited)")
@@ -116,7 +115,6 @@ func main() {
 		StoreMemCapacity: *storeCap,
 		UseLSH:           *lsh,
 		Stealing:         *steal,
-		UseTCP:           *useTCP,
 		Latency:          *latency,
 		BandwidthBps:     *bandwidth,
 		SpillDir:         *spillDir,

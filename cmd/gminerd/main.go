@@ -67,6 +67,9 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown wait for running jobs before cancelling them")
 	)
 	flag.Parse()
+	if err := checkClusterMode(*clusterListen, *dynamic, *jobMem); err != nil {
+		fatal(err)
+	}
 
 	g, err := loadGraph(*graphPath, *format, *preset, *scale)
 	if err != nil {
@@ -108,9 +111,6 @@ func main() {
 		// Mutations re-place only dirty blocks, which requires the
 		// decomposable block partitioner. Silently upgrading bdg would
 		// change results vs a static daemon, so say so.
-		if *clusterListen != "" {
-			fatal(fmt.Errorf("-dynamic requires single-process mode (the resident graph lives in this process)"))
-		}
 		if _, ok := ccfg.Partitioner.(partition.Blocked); !ok {
 			fmt.Printf("dynamic: overriding -partitioner %s with blocked (incremental re-placement needs decomposable blocks)\n", *part)
 			*part = "blocked"
@@ -200,6 +200,21 @@ func main() {
 	fmt.Printf("received %s: draining (up to %s) and shutting down\n", sig, *drainTimeout)
 	srv.Shutdown()
 	fmt.Println("shutdown complete, port released")
+}
+
+// checkClusterMode refuses the flags a multi-process coordinator
+// (-cluster-listen) cannot honour, before any work is done.
+func checkClusterMode(clusterListen string, dynamic bool, jobMem int64) error {
+	if clusterListen == "" {
+		return nil
+	}
+	if dynamic {
+		return fmt.Errorf("-dynamic requires single-process mode (the resident graph lives in this process)")
+	}
+	if jobMem > 0 {
+		return fmt.Errorf("-job-mem %d: per-job memory budgets are not enforced across worker processes; drop -job-mem or -cluster-listen", jobMem)
+	}
+	return nil
 }
 
 func loadGraph(path, format, preset string, scale float64) (*graph.Graph, error) {

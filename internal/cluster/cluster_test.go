@@ -143,20 +143,6 @@ func TestRunWithAllOptionsEnabled(t *testing.T) {
 	}
 }
 
-func TestRunOverTCP(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 1200, Seed: 37})
-	want := algo.RefTriangles(g)
-	cfg := smallConfig()
-	cfg.UseTCP = true
-	res, err := cluster.Run(g, algo.NewTriangleCount(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.AggGlobal.(int64); got != want {
-		t.Fatalf("triangles over TCP: got %d want %d", got, want)
-	}
-}
-
 func TestRunSingleWorkerSingleThread(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 1500, Seed: 41})
 	want := algo.RefTriangles(g)

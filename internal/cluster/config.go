@@ -20,8 +20,9 @@ type Config struct {
 
 	// JobID namespaces everything a job owns when many jobs share a
 	// process: spill and checkpoint directories, metrics labels and log
-	// lines. Sessions assign one automatically; empty means single-shot
-	// mode, whose on-disk layout is unchanged.
+	// lines. Sessions assign one automatically; a single-shot job (Start,
+	// Run) keeps it empty and writes directly under SpillDir and
+	// CheckpointDir.
 	JobID string
 
 	// MemBudget, if non-nil, bounds the job-owned memory across all
@@ -105,8 +106,8 @@ type Config struct {
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
 	// fault-injection layer (internal/chaos) and executes the profile's
-	// crash schedule against live workers. Crash entries require the
-	// local transport (UseTCP false).
+	// crash schedule against live workers. Only single-shot jobs (Start,
+	// Run) accept it.
 	Chaos *chaos.Controller
 
 	// Partitioner distributes vertices to workers; default BDG (§6.1).
@@ -127,9 +128,6 @@ type Config struct {
 	// Latency and BandwidthBps configure the simulated network.
 	Latency      time.Duration
 	BandwidthBps int64
-	// UseTCP runs the job over real loopback TCP sockets instead of the
-	// in-process network.
-	UseTCP bool
 
 	// SampleEvery enables utilization timeline sampling (Figures 5–6)
 	// with the given period; 0 disables.

@@ -1,32 +1,30 @@
 package cluster_test
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gminer/internal/algo"
 	"gminer/internal/cluster"
-	"gminer/internal/dfs"
 	"gminer/internal/gen"
+	"gminer/internal/graph"
 )
 
-// TestEndToEndThroughDFS exercises the paper's full job flow: the input
-// graph lives on the (mini-)distributed filesystem, the job runs on the
-// cluster runtime, and the output records are dumped back to the DFS.
-func TestEndToEndThroughDFS(t *testing.T) {
-	fs, err := dfs.New(dfs.Config{DataNodes: 3, Replication: 2, BlockSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEndToEndThroughLocalFiles exercises the paper's full job flow: the
+// input graph is loaded from a file, the job runs on the cluster runtime,
+// and the output records are dumped back to a file.
+func TestEndToEndThroughLocalFiles(t *testing.T) {
+	dir := t.TempDir()
 	orig, _ := gen.Community(gen.CommunityConfig{
 		Communities: 15, MinSize: 6, MaxSize: 10, PIn: 0.7, Bridges: 150, Seed: 301,
 	})
-	if err := dfs.SaveGraph(fs, "/input/graph", orig); err != nil {
+	graphPath := filepath.Join(dir, "graph.adj")
+	if err := graph.SaveFile(graphPath, orig); err != nil {
 		t.Fatal(err)
 	}
-
-	// A datanode dies between ingest and load; replication covers it.
-	fs.KillDataNode(1)
-	g, err := dfs.LoadGraph(fs, "/input/graph", 0)
+	g, err := graph.LoadFile(graphPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +37,15 @@ func TestEndToEndThroughDFS(t *testing.T) {
 	}
 	assertSameRecords(t, res.Records, want)
 
-	if err := dfs.SaveRecords(fs, "/output/communities", res.Records); err != nil {
+	outPath := filepath.Join(dir, "communities.txt")
+	if err := os.WriteFile(outPath, []byte(strings.Join(res.Records, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := dfs.LoadRecords(fs, "/output/communities")
+	b, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRecords(t, back, want)
+	assertSameRecords(t, strings.Split(strings.TrimSuffix(string(b), "\n"), "\n"), want)
 }
 
 // TestDeterministicResults: with stealing disabled the record set is a

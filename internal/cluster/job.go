@@ -67,17 +67,22 @@ type Job struct {
 	g      *graph.Graph
 	algo   core.Algorithm
 	assign *partition.Assignment
-	locals []*localTable // prebuilt partition views (session jobs); nil entries are built on demand
+	locals []*localTable // prebuilt partition views, one per worker (nil for remote jobs)
 
-	netLocal *transport.LocalNetwork
-	netTCP   *transport.TCPNetwork
+	// mux and channel locate the job's mailboxes on its session's
+	// transport; endpoints are the unwrapped channel endpoints a recovered
+	// worker reconnects through.
+	mux       *transport.Mux
+	channel   uint64
+	endpoints []transport.Endpoint
 	// release tears down transport state the job borrowed rather than owns
 	// (a Session's mux channel); called during Wait after the workers stop.
 	release func()
 	// retire runs at the very end of Wait's teardown, after the result —
 	// which still reads the shared graph — has been assembled. A dynamic
 	// Session drops the job's graph-epoch read lease here, so a pending
-	// mutation batch can only apply once no job is touching the graph.
+	// mutation batch can only apply once no job is touching the graph; a
+	// one-job session (Start) shuts its transport down here.
 	retire func()
 
 	workers  []*Worker
@@ -111,23 +116,27 @@ type Job struct {
 	err      error
 }
 
-// launchEnv carries resources a Session already holds warm, so a job can
-// launch without re-partitioning the graph, rebuilding per-worker vertex
-// tables, or creating its own network. nil means single-shot mode: the job
-// builds (and owns) everything itself.
+// launchEnv carries the resources a Session holds warm — the partition,
+// the per-worker vertex tables, the CSR index and the job's mux channel —
+// so a job launches without re-partitioning the graph or building a
+// network of its own.
 type launchEnv struct {
 	assign        *partition.Assignment
 	partitionTime time.Duration
 	locals        []*localTable
-	endpoints     []transport.Endpoint
-	counters      []*metrics.Counters
-	release       func()
+	// endpoints are the job's mux-channel endpoints (workers + master);
+	// counters holds one metrics sink per node, charged by those endpoints.
+	endpoints []transport.Endpoint
+	counters  []*metrics.Counters
+	mux       *transport.Mux
+	channel   uint64
+	release   func()
 	// csr is the session's prebuilt degree-ranked adjacency index, shared
 	// read-only by every job on the resident graph (nil when the session
-	// disabled plans; a single-shot job builds its own).
+	// disabled plans).
 	csr *kernels.CSR
 	// remote, when non-nil, marks the workers as living in other
-	// processes: startWithEnv builds only the master and Wait collects
+	// processes: startJob builds only the master and Wait collects
 	// worker results through this state instead of local Worker structs.
 	remote *remoteJobState
 	// fence is the coordinator's fencing-token ledger (nil outside
@@ -226,102 +235,47 @@ func (r *remoteJobState) await() error {
 	return fmt.Errorf("cluster: remote job: no result from workers %v within %s", missing, r.timeout)
 }
 
-// Start partitions the graph and launches the cluster. The graph must be
+// Start partitions the graph and launches the job on a one-job Session,
+// which tears itself down when the job's Wait finishes. The graph must be
 // frozen.
 func Start(g *graph.Graph, algo core.Algorithm, cfg Config) (*Job, error) {
-	return startWithEnv(g, algo, cfg, nil)
-}
-
-func startWithEnv(g *graph.Graph, algo core.Algorithm, cfg Config, env *launchEnv) (*Job, error) {
-	cfg = cfg.Defaults()
-	if !g.Frozen() {
-		return nil, fmt.Errorf("cluster: graph must be frozen")
-	}
-	if cfg.Dynamic && env == nil {
+	if cfg.Dynamic {
 		return nil, fmt.Errorf("cluster: graph mutations need a warm Session (Config.Dynamic is meaningless for a single-shot job)")
 	}
-	j := &Job{cfg: cfg, g: g, algo: algo, failures: make(chan int, cfg.Workers)}
+	s, err := newSession(g, cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	j, err := s.Launch(algo, JobOptions{Tracer: cfg.Tracer, RoundHook: cfg.RoundHook})
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	return j, nil
+}
+
+// startJob builds a job's master and workers on a session's warm
+// resources and starts them.
+func startJob(g *graph.Graph, algo core.Algorithm, cfg Config, env *launchEnv) (*Job, error) {
+	j := &Job{
+		cfg: cfg, g: g, algo: algo, failures: make(chan int, cfg.Workers),
+		assign: env.assign, partitionTime: env.partitionTime, locals: env.locals,
+		counters: env.counters, mux: env.mux, channel: env.channel, endpoints: env.endpoints,
+		release: env.release, retire: env.retire, remote: env.remote, fence: env.fence,
+	}
 
 	// Configure the kernel layer before any seeding: plan-capable
-	// algorithms get the CSR index (session-shared, or built here for
-	// single-shot jobs) unless the config forces the generic baseline.
+	// algorithms get the session's CSR index unless the config forces the
+	// generic baseline.
 	if kc, ok := algo.(core.KernelConfigurable); ok {
-		switch {
-		case cfg.DisablePlans:
-			kc.ConfigureKernels(nil, true)
-		case env != nil && env.csr != nil:
-			kc.ConfigureKernels(env.csr, false)
-		default:
-			csr, err := kernels.Build(g)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: build CSR index: %w", err)
-			}
-			kc.ConfigureKernels(csr, false)
+		csr := env.csr
+		if cfg.DisablePlans {
+			csr = nil
 		}
-	}
-	if env != nil && env.remote != nil {
-		j.remote = env.remote
-		if cfg.Chaos != nil {
-			return nil, fmt.Errorf("cluster: remote jobs do not support chaos injection")
-		}
+		kc.ConfigureKernels(csr, cfg.DisablePlans)
 	}
 
-	if env != nil && env.assign != nil {
-		j.assign = env.assign
-		j.partitionTime = env.partitionTime
-		j.locals = env.locals
-	} else {
-		pStart := time.Now()
-		assign, err := cfg.Partitioner.Partition(g, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: partition: %w", err)
-		}
-		j.partitionTime = time.Since(pStart)
-		j.assign = assign
-	}
-
-	nodes := cfg.Workers + 1 // + master
-	if env != nil && env.counters != nil {
-		j.counters = env.counters
-	} else {
-		j.counters = make([]*metrics.Counters, nodes)
-		for i := range j.counters {
-			j.counters[i] = &metrics.Counters{}
-		}
-	}
-
-	var endpoints []transport.Endpoint
-	switch {
-	case env != nil && env.endpoints != nil:
-		endpoints = env.endpoints
-		j.release = env.release
-		j.retire = env.retire
-	case cfg.UseTCP:
-		tn, err := transport.NewTCP(nodes, j.counters)
-		if err != nil {
-			return nil, err
-		}
-		tn.SetTracer(cfg.Tracer)
-		j.netTCP = tn
-		endpoints = make([]transport.Endpoint, nodes)
-		for i := 0; i < nodes; i++ {
-			endpoints[i] = tn.Endpoint(i)
-		}
-	default:
-		ln := transport.NewLocal(transport.LocalConfig{
-			Nodes:        nodes,
-			Latency:      cfg.Latency,
-			BandwidthBps: cfg.BandwidthBps,
-			Counters:     j.counters,
-			Tracer:       cfg.Tracer,
-		})
-		j.netLocal = ln
-		endpoints = make([]transport.Endpoint, nodes)
-		for i := 0; i < nodes; i++ {
-			endpoints[i] = ln.Endpoint(i)
-		}
-	}
-
+	endpoints := append([]transport.Endpoint(nil), env.endpoints...)
 	if cfg.Chaos != nil && cfg.Chaos.Profile().Active() {
 		// Task migration payloads carry the tasks themselves: the protocol
 		// has no ack/retransmit for them, so a dropped or duplicated
@@ -344,10 +298,7 @@ func startWithEnv(g *graph.Graph, algo core.Algorithm, cfg Config, env *launchEn
 	if err != nil {
 		return nil, err
 	}
-	if env != nil && env.fence != nil {
-		j.fence = env.fence
-		sink.fence = env.fence
-	}
+	sink.fence = j.fence
 	j.sink = sink
 
 	resumeEpoch := noEpoch
@@ -417,15 +368,6 @@ func startWithEnv(g *graph.Graph, algo core.Algorithm, cfg Config, env *launchEn
 	return j, nil
 }
 
-// localFor returns worker i's prebuilt partition view, nil if the job has
-// none (single-shot mode builds the table inside newWorker).
-func (j *Job) localFor(i int) *localTable {
-	if j.locals != nil && i < len(j.locals) {
-		return j.locals[i]
-	}
-	return nil
-}
-
 // budgetAbort cancels the job when a worker's memory charge exceeded the
 // job's budget; co-resident jobs in the same session are untouched.
 func (j *Job) budgetAbort(err error) {
@@ -436,7 +378,7 @@ func (j *Job) budgetAbort(err error) {
 func (j *Job) freshWorkers(endpoints []transport.Endpoint) ([]*Worker, error) {
 	ws := make([]*Worker, j.cfg.Workers)
 	for i := 0; i < j.cfg.Workers; i++ {
-		w, err := newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), endpoints[i], j.counters[i], j.sink, nil)
+		w, err := newWorker(i, j.cfg, j.algo, j.g, j.assign, j.locals[i], endpoints[i], j.counters[i], j.sink, nil)
 		if err != nil {
 			releaseWorkers(ws)
 			return nil, err
@@ -461,7 +403,7 @@ func (j *Job) restoreAllWorkers(endpoints []transport.Endpoint) ([]*Worker, erro
 		for i := 0; i < j.cfg.Workers; i++ {
 			snap, err := j.sink.load(i, epoch)
 			if err == nil {
-				ws[i], err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), endpoints[i], j.counters[i], j.sink, snap)
+				ws[i], err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.locals[i], endpoints[i], j.counters[i], j.sink, snap)
 			}
 			if err != nil {
 				j.cfg.Tracer.Handle(i, trace.CompCheckpoint).Event(trace.EvRestoreFail, uint64(epoch))
@@ -541,32 +483,19 @@ func (j *Job) KillWorker(i int) {
 	w := j.workers[i]
 	j.workerMu.Unlock()
 	w.kill()
-	if j.netLocal != nil {
-		j.netLocal.Reset(i)
-	}
-	if j.netTCP != nil {
-		j.netTCP.Reset(i)
-	}
+	j.mux.Reset(j.channel, i)
 }
 
 // RecoverWorker replaces a killed worker with a fresh one restored from
 // the newest committed epoch. A torn or corrupt snapshot falls back to the
 // previous committed epoch (traced as EvRestoreFail); with no usable
 // committed checkpoint the worker restarts from scratch, which is safe
-// because its un-checkpointed results died with it. On the TCP transport
-// the node's endpoint is reset first: peers' cached connections die and
-// their send-retry redials reach the replacement.
+// because its un-checkpointed results died with it.
 func (j *Job) RecoverWorker(i int) error {
 	if j.remote != nil {
 		return fmt.Errorf("cluster: remote job: recovery is a replacement worker process rejoining the coordinator")
 	}
-	var ep transport.Endpoint
-	if j.netLocal != nil {
-		ep = j.netLocal.Endpoint(i)
-	} else {
-		j.netTCP.Reset(i)
-		ep = j.netTCP.Endpoint(i)
-	}
+	ep := j.endpoints[i]
 	// The replacement worker must see the same faulty network the rest of
 	// the cluster does.
 	if j.cfg.Chaos != nil {
@@ -577,7 +506,7 @@ func (j *Job) RecoverWorker(i int) error {
 	for _, epoch := range j.sink.committedEpochs() {
 		snap, err := j.sink.load(i, epoch)
 		if err == nil {
-			w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), ep, j.counters[i], j.sink, snap)
+			w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.locals[i], ep, j.counters[i], j.sink, snap)
 		}
 		if err != nil {
 			tr.Event(trace.EvRestoreFail, uint64(epoch))
@@ -588,7 +517,7 @@ func (j *Job) RecoverWorker(i int) error {
 	}
 	if w == nil {
 		var err error
-		w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), ep, j.counters[i], j.sink, nil)
+		w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.locals[i], ep, j.counters[i], j.sink, nil)
 		if err != nil {
 			return err
 		}
@@ -669,17 +598,9 @@ func (j *Job) Wait() (*Result, error) {
 		for _, w := range workers {
 			w.stop()
 		}
-		if j.netLocal != nil {
-			j.netLocal.Close()
-		}
-		if j.netTCP != nil {
-			j.netTCP.Close()
-		}
-		if j.release != nil {
-			// Session job: close the borrowed mux channel so blocked comm
-			// loops unblock; the shared network stays up for other jobs.
-			j.release()
-		}
+		// Close the job's mux channel so blocked comm loops unblock; the
+		// session's network stays up for other jobs.
+		j.release()
 		for _, w := range workers {
 			w.wg.Wait()
 			w.spiller.Close()
@@ -789,7 +710,8 @@ func (j *Job) Err() error {
 	return j.cancelErr
 }
 
-// ID returns the job-scoped identifier (empty in single-shot mode).
+// ID returns the job-scoped identifier (empty for a job started by
+// Start or Run).
 func (j *Job) ID() string { return j.cfg.JobID }
 
 // WorkerSnapshots returns the current per-worker counters (live view for

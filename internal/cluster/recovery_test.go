@@ -256,34 +256,3 @@ func TestRecoverBeforeFirstCommittedEpoch(t *testing.T) {
 	}
 	assertSameRecords(t, res.Records, want)
 }
-
-// TestRecoverWorkerOverTCP exercises kill + restore on the real socket
-// transport: the node's endpoint resets, peers' cached connections die, and
-// their send-retry redials must reach the replacement worker.
-func TestRecoverWorkerOverTCP(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 2500, Seed: 97})
-	want := expectedMarks(g)
-
-	cfg := smallConfig()
-	cfg.UseTCP = true
-	cfg.CheckpointEvery = 3 * time.Millisecond
-	cfg.CheckpointDir = t.TempDir()
-	cfg.Partitioner = partition.Hash{}
-	cfg.Stealing = false
-
-	job, err := cluster.Start(g, &slowMark{delay: 100 * time.Microsecond}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(15 * time.Millisecond)
-	job.KillWorker(1)
-	time.Sleep(2 * time.Millisecond)
-	if err := job.RecoverWorker(1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRecords(t, res.Records, want)
-}

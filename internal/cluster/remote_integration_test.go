@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
+	"gminer/internal/memctl"
 	"gminer/internal/partition"
 )
 
@@ -131,6 +133,37 @@ func TestRemoteLaunchRequiresSpec(t *testing.T) {
 	}
 	if _, err := rs.Launch(a, cluster.JobOptions{}); err == nil {
 		t.Fatal("launch without Spec accepted")
+	}
+}
+
+// A per-job memory budget cannot be charged across worker processes, so a
+// budgeted launch must be refused with an error naming the budget (never
+// run unbudgeted), and so must a budgeted session template.
+func TestRemoteLaunchRefusesMemBudget(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 800, Seed: 11})
+	cfg := smallConfig()
+	rs, err := cluster.NewRemoteSession(g, cfg, cluster.RemoteSessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sp := jobspec.Spec{App: "tc"}.Normalize()
+	a, err := jobspec.Build(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = rs.Launch(a, cluster.JobOptions{Spec: &sp, MemBudgetBytes: 1 << 20})
+	if err == nil || !strings.Contains(err.Error(), "memory budget") {
+		t.Fatalf("budgeted remote launch: got %v, want a memory-budget refusal", err)
+	}
+	if rs.ActiveJobs() != 0 {
+		t.Fatalf("refused launch left %d job(s) registered", rs.ActiveJobs())
+	}
+
+	cfg.MemBudget = memctl.NewBudget(1 << 20)
+	if rs2, err := cluster.NewRemoteSession(g, cfg, cluster.RemoteSessionConfig{}); err == nil {
+		rs2.Close()
+		t.Fatal("remote session with a memory-budget template accepted")
 	}
 }
 

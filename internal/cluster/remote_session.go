@@ -14,7 +14,6 @@ import (
 	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/metrics"
 	"gminer/internal/partition"
 	"gminer/internal/trace"
 	"gminer/internal/transport"
@@ -24,6 +23,11 @@ import (
 // tears down: it marks the teardown as a coordinator restart rather than
 // a user cancel, so the job's durable JOBSPEC survives for `-resume`.
 var errCoordinatorShutdown = errors.New("cluster: coordinator shutdown")
+
+// errRemoteMemBudget refuses per-job memory budgets on a multi-process
+// cluster: the budget is charged from worker progress loops, which live in
+// other processes, so it could not be enforced.
+var errRemoteMemBudget = errors.New("cluster: remote sessions cannot enforce a per-job memory budget")
 
 // jobspecName is the durable per-job spec file the coordinator writes
 // into the job's checkpoint directory at launch, next to the MANIFEST. A
@@ -169,12 +173,11 @@ type RemoteSession struct {
 	// still fire per refusal.
 	fencedSeen []atomic.Int64
 
+	jobs jobRegistry
+
 	mu      sync.Mutex
 	slots   []workerSlot
-	jobs    map[string]*Job
 	byCh    map[uint64]*remoteJobMeta
-	nextCh  uint64
-	closed  bool
 	ctlDone chan struct{}
 	// resumable maps job IDs found on disk at a `-resume` start to their
 	// JOBSPEC contents; a Launch of one of these IDs restores from the
@@ -202,6 +205,9 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 	if cfg.Dynamic {
 		return nil, fmt.Errorf("cluster: remote sessions do not support graph mutations (run single-process for -dynamic)")
 	}
+	if cfg.MemBudget != nil {
+		return nil, errRemoteMemBudget
+	}
 
 	s := &RemoteSession{
 		g:          g,
@@ -210,7 +216,6 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 		readyCh:    make(chan struct{}),
 		fence:      newFenceTable(cfg.Workers),
 		slots:      make([]workerSlot, cfg.Workers),
-		jobs:       make(map[string]*Job),
 		byCh:       make(map[uint64]*remoteJobMeta),
 		ctlDone:    make(chan struct{}),
 		fencedSeen: make([]atomic.Int64, cfg.Workers),
@@ -330,11 +335,10 @@ func (s *RemoteSession) handleHello(payload []byte) []byte {
 		return reject(err.Error())
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.jobs.isClosed() {
 		return reject("cluster: coordinator shutting down")
 	}
+	s.mu.Lock()
 	slot := int(h.Node)
 	if slot < 0 {
 		slot = s.pickSlotLocked()
@@ -698,24 +702,16 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	if opt.Spec == nil {
 		return nil, fmt.Errorf("cluster: remote launch requires JobOptions.Spec (worker processes rebuild the algorithm from it)")
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cluster: session closed")
+	if opt.MemBudgetBytes > 0 {
+		return nil, fmt.Errorf("%w (job asked for MemBudgetBytes=%d)", errRemoteMemBudget, opt.MemBudgetBytes)
 	}
-	s.nextCh++
-	ch := s.nextCh
-	id := opt.ID
-	if id == "" {
-		id = fmt.Sprintf("job-%d", ch)
+	id, ch, err := s.jobs.reserve(opt.ID)
+	if err != nil {
+		return nil, err
 	}
-	if _, live := s.jobs[id]; live {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cluster: job id %q already running", id)
-	}
-	s.jobs[id] = nil
 	// A job whose ID matches a JOBSPEC+MANIFEST found at a `-resume` start
 	// restores from its committed epochs instead of starting fresh.
+	s.mu.Lock()
 	_, resumeJob := s.resumable[id]
 	delete(s.resumable, id)
 	s.mu.Unlock()
@@ -726,9 +722,6 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	cfg.RoundHook = opt.RoundHook
 	cfg.FailTimeout = s.rcfg.FailTimeout
 	cfg.Resume = resumeJob
-	// opt.MemBudgetBytes is not enforced here: the budget is charged from
-	// worker progress loops, which live in other processes. The serving
-	// layer's admission costing still applies.
 	if opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
@@ -736,11 +729,7 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
 	}
 
-	nodes := cfg.Workers + 1
-	counters := make([]*metrics.Counters, nodes)
-	for i := range counters {
-		counters[i] = &metrics.Counters{}
-	}
+	counters := newCounters(cfg.Workers + 1)
 	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
 	if err != nil {
 		s.forget(id, ch)
@@ -752,14 +741,16 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 		partitionTime: s.partitionTime,
 		endpoints:     eps,
 		counters:      counters,
+		mux:           s.mux,
+		channel:       ch,
 		fence:         s.fence,
 		remote:        remoteStateWithFence(cfg.Workers, s.rcfg.ResultTimeout, s.fence),
 		release: func() {
 			// Backstop: workers normally stop on the master's msgStop
 			// broadcast; tell them explicitly too, in case the engine frame
 			// was dropped on a severed connection.
+			j := s.jobs.get(id)
 			s.mu.Lock()
-			j := s.jobs[id]
 			joined := make([]int, 0, cfg.Workers)
 			for i := range s.slots {
 				if s.slots[i].joined {
@@ -781,7 +772,7 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 			s.forget(id, ch)
 		},
 	}
-	j, err := startWithEnv(s.g, a, cfg, env)
+	j, err := startJob(s.g, a, cfg, env)
 	if err != nil {
 		s.mux.CloseChannel(ch)
 		s.forget(id, ch)
@@ -798,8 +789,8 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 		}
 	}
 
+	s.jobs.set(id, j)
 	s.mu.Lock()
-	s.jobs[id] = j
 	s.byCh[ch] = meta
 	joined := make([]int, 0, cfg.Workers)
 	for i := range s.slots {
@@ -844,18 +835,14 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 }
 
 func (s *RemoteSession) forget(id string, ch uint64) {
+	s.jobs.forget(id)
 	s.mu.Lock()
-	delete(s.jobs, id)
 	delete(s.byCh, ch)
 	s.mu.Unlock()
 }
 
 // ActiveJobs returns the number of jobs launched and not yet torn down.
-func (s *RemoteSession) ActiveJobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
+func (s *RemoteSession) ActiveJobs() int { return s.jobs.active() }
 
 // Graph returns the resident graph.
 func (s *RemoteSession) Graph() *graph.Graph { return s.g }
@@ -900,25 +887,8 @@ func (s *RemoteSession) FencedFrames() int64 { return s.net.Fenced() }
 // coordinator shutdown, which keeps each job's durable JOBSPEC on disk: a
 // restarted coordinator with `-resume` rebuilds and resumes those jobs.
 func (s *RemoteSession) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.jobs.close(func(j *Job) { j.CancelCause(errCoordinatorShutdown) }) {
 		return
-	}
-	s.closed = true
-	live := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if j != nil {
-			live = append(live, j)
-		}
-	}
-	s.mu.Unlock()
-
-	for _, j := range live {
-		j.CancelCause(errCoordinatorShutdown)
-	}
-	for _, j := range live {
-		_, _ = j.Wait()
 	}
 	s.mux.Close()
 	s.net.Close()

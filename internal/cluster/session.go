@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -56,33 +57,36 @@ type Session struct {
 	epochMu  sync.RWMutex
 	dyn      *dyngraph.State
 	epoch    atomic.Int64
-	csrEpoch int64 // epoch s.csr was built at (guarded by mu)
+	mu       sync.Mutex // guards csr and csrEpoch
+	csrEpoch int64      // epoch s.csr was built at
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	nextCh uint64
-	closed bool
+	jobs jobRegistry
+	// oneJob marks the session Start builds around a single job: the
+	// template's Chaos and Resume apply to that job, its files keep the
+	// single-shot layout (no per-job subdirectory, empty JobID), and the
+	// session shuts down at the end of the job's Wait.
+	oneJob bool
 }
 
 // NewSession partitions the frozen graph once and brings the shared
 // transport up. The config is the template every job inherits (workers,
 // threads, cache sizes, stealing, ...); per-job knobs are set at Launch.
 func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
-	cfg = cfg.Defaults()
-	if !g.Frozen() {
-		return nil, fmt.Errorf("cluster: session graph must be frozen")
-	}
-	if cfg.UseTCP {
-		return nil, fmt.Errorf("cluster: sessions run over the in-process transport (TCP sessions are not supported yet)")
-	}
 	if cfg.Chaos != nil {
-		return nil, fmt.Errorf("cluster: sessions do not support chaos injection (crash schedules target a per-job network)")
+		return nil, fmt.Errorf("cluster: sessions do not support chaos injection (crash schedules target a single job)")
 	}
 	if cfg.Resume {
 		return nil, fmt.Errorf("cluster: sessions cannot resume (resume a job, not the session)")
 	}
+	return newSession(g, cfg, false)
+}
 
-	s := &Session{g: g, cfg: cfg, jobs: make(map[string]*Job)}
+func newSession(g *graph.Graph, cfg Config, oneJob bool) (*Session, error) {
+	cfg = cfg.Defaults()
+	if !g.Frozen() {
+		return nil, fmt.Errorf("cluster: session graph must be frozen")
+	}
+	s := &Session{g: g, cfg: cfg, oneJob: oneJob}
 
 	pStart := time.Now()
 	var assign *partition.Assignment
@@ -121,8 +125,7 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 	}
 
 	nodes := cfg.Workers + 1
-	// Per-job byte accounting happens at the mux endpoints, so the shared
-	// network carries no counters or tracer of its own.
+	// Per-job byte accounting happens at the mux endpoints.
 	s.net = transport.NewLocal(transport.LocalConfig{
 		Nodes:        nodes,
 		Latency:      cfg.Latency,
@@ -147,7 +150,8 @@ type JobOptions struct {
 	Tracer *trace.Tracer
 	// MemBudgetBytes bounds the job-owned memory (task store + RCV cache
 	// summed over workers). 0 means unlimited. Exceeding it cancels the
-	// job with an error wrapping memctl.ErrOOM.
+	// job with an error wrapping memctl.ErrOOM. A RemoteSession refuses a
+	// nonzero budget: it could not enforce it across processes.
 	MemBudgetBytes int64
 	// CheckpointEvery overrides the template's checkpoint interval for
 	// this job; 0 inherits it.
@@ -173,38 +177,24 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	// of the job's Wait teardown the resident graph cannot mutate under
 	// it. On a static session the lock is never contended.
 	s.epochMu.RLock()
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.epochMu.RUnlock()
-		return nil, fmt.Errorf("cluster: session closed")
-	}
-	s.nextCh++
-	ch := s.nextCh
-	id := opt.ID
-	if id == "" {
-		id = fmt.Sprintf("job-%d", ch)
-	}
-	if _, live := s.jobs[id]; live {
-		s.mu.Unlock()
-		s.epochMu.RUnlock()
-		return nil, fmt.Errorf("cluster: job id %q already running", id)
-	}
-	// Reserve the ID before dropping the lock so concurrent Launches with
-	// the same explicit ID cannot both proceed.
-	s.jobs[id] = nil
-	s.mu.Unlock()
-
-	csr, err := s.ensureCSR()
+	id, ch, err := s.jobs.reserve(opt.ID)
 	if err != nil {
-		s.forget(id)
+		s.epochMu.RUnlock()
+		return nil, err
+	}
+	abort := func(err error) (*Job, error) {
+		s.mux.CloseChannel(ch)
+		s.jobs.forget(id)
 		s.epochMu.RUnlock()
 		return nil, err
 	}
 
+	csr, err := s.ensureCSR()
+	if err != nil {
+		return abort(err)
+	}
+
 	cfg := s.cfg
-	cfg.JobID = id
 	cfg.GraphEpoch = s.epoch.Load()
 	cfg.Tracer = opt.Tracer
 	cfg.RoundHook = opt.RoundHook
@@ -219,61 +209,49 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	if opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
-	if cfg.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
+	retire := s.epochMu.RUnlock
+	if s.oneJob {
+		retire = func() {
+			s.epochMu.RUnlock()
+			s.shutdown()
+		}
+	} else {
+		cfg.JobID = id
+		if cfg.CheckpointDir != "" {
+			cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
+		}
 	}
 
-	nodes := cfg.Workers + 1
-	counters := make([]*metrics.Counters, nodes)
-	for i := range counters {
-		counters[i] = &metrics.Counters{}
-	}
+	counters := newCounters(cfg.Workers + 1)
 	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
 	if err != nil {
-		s.forget(id)
-		s.epochMu.RUnlock()
-		return nil, err
+		return abort(err)
 	}
-
-	env := &launchEnv{
+	j, err := startJob(s.g, a, cfg, &launchEnv{
 		assign:        s.assign,
 		partitionTime: s.partitionTime,
 		locals:        s.locals,
 		endpoints:     eps,
 		counters:      counters,
+		mux:           s.mux,
+		channel:       ch,
 		csr:           csr,
 		release: func() {
 			s.mux.CloseChannel(ch)
-			s.forget(id)
+			s.jobs.forget(id)
 		},
-		retire: s.epochMu.RUnlock,
-	}
-	j, err := startWithEnv(s.g, a, cfg, env)
+		retire: retire,
+	})
 	if err != nil {
-		s.mux.CloseChannel(ch)
-		s.forget(id)
-		s.epochMu.RUnlock()
-		return nil, err
+		return abort(err)
 	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.mu.Unlock()
+	s.jobs.set(id, j)
 	return j, nil
-}
-
-func (s *Session) forget(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
 }
 
 // ActiveJobs returns the number of jobs launched and not yet fully torn
 // down (a job leaves the count at the end of its Wait).
-func (s *Session) ActiveJobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
+func (s *Session) ActiveJobs() int { return s.jobs.active() }
 
 // Graph returns the resident graph.
 func (s *Session) Graph() *graph.Graph { return s.g }
@@ -379,11 +357,8 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 	}
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, fmt.Errorf("cluster: session closed")
+	if s.jobs.isClosed() {
+		return nil, errSessionClosed
 	}
 	start := time.Now()
 	info, err := s.dyn.Apply(s.g, b)
@@ -417,27 +392,118 @@ func (s *Session) DroppedMessages() int64 { return s.mux.Dropped() }
 // shuts the shared transport down. The session refuses Launches from the
 // moment Close begins.
 func (s *Session) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	if s.jobs.close(func(j *Job) { j.Cancel() }) {
+		s.shutdown()
 	}
-	s.closed = true
-	live := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
+}
+
+// shutdown closes the shared transport and waits for its demux goroutines.
+func (s *Session) shutdown() {
+	s.mux.Close()
+	s.net.Close()
+	s.mux.WaitDemux()
+}
+
+// newCounters allocates one metrics sink per node.
+func newCounters(nodes int) []*metrics.Counters {
+	cs := make([]*metrics.Counters, nodes)
+	for i := range cs {
+		cs[i] = &metrics.Counters{}
+	}
+	return cs
+}
+
+var errSessionClosed = errors.New("cluster: session closed")
+
+// jobRegistry is the job table Session and RemoteSession share: live jobs
+// by ID, mux-channel allocation and the closed flag.
+type jobRegistry struct {
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	nextCh uint64
+	closed bool
+}
+
+// reserve allocates the next mux channel and claims the job ID — "job-<n>"
+// for an empty one — before the job exists, so concurrent launches with
+// the same explicit ID cannot both proceed. IDs of live jobs must be
+// unique; a finished job's ID may be reused.
+func (r *jobRegistry) reserve(id string) (string, uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return "", 0, errSessionClosed
+	}
+	r.nextCh++
+	if id == "" {
+		id = fmt.Sprintf("job-%d", r.nextCh)
+	}
+	if _, live := r.jobs[id]; live {
+		return "", 0, fmt.Errorf("cluster: job id %q already running", id)
+	}
+	if r.jobs == nil {
+		r.jobs = make(map[string]*Job)
+	}
+	r.jobs[id] = nil
+	return id, r.nextCh, nil
+}
+
+// set records the started job under its reserved ID.
+func (r *jobRegistry) set(id string, j *Job) {
+	r.mu.Lock()
+	r.jobs[id] = j
+	r.mu.Unlock()
+}
+
+// get returns the live job with the given ID (nil while only reserved).
+func (r *jobRegistry) get(id string) *Job {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.jobs[id]
+}
+
+// forget releases a job's ID.
+func (r *jobRegistry) forget(id string) {
+	r.mu.Lock()
+	delete(r.jobs, id)
+	r.mu.Unlock()
+}
+
+// active counts jobs launched and not yet fully torn down.
+func (r *jobRegistry) active() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.jobs)
+}
+
+func (r *jobRegistry) isClosed() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closed
+}
+
+// close marks the registry closed, cancels every live job with cancel and
+// waits for each one's teardown. It reports false if the registry was
+// already closed.
+func (r *jobRegistry) close(cancel func(*Job)) bool {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return false
+	}
+	r.closed = true
+	live := make([]*Job, 0, len(r.jobs))
+	for _, j := range r.jobs {
 		if j != nil {
 			live = append(live, j)
 		}
 	}
-	s.mu.Unlock()
-
+	r.mu.Unlock()
 	for _, j := range live {
-		j.Cancel()
+		cancel(j)
 	}
 	for _, j := range live {
 		_, _ = j.Wait()
 	}
-	s.mux.Close()
-	s.net.Close()
-	s.mux.WaitDemux()
+	return true
 }

@@ -9,10 +9,12 @@ import (
 	"time"
 
 	"gminer/internal/algo"
+	"gminer/internal/chaos"
 	"gminer/internal/cluster"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/memctl"
+	"gminer/internal/partition"
 )
 
 // servingGraph builds one graph usable by every algorithm family: labels
@@ -344,10 +346,12 @@ func TestSessionFingerprint(t *testing.T) {
 	}
 }
 
-// TestRerunNoGoroutineLeak is the satellite bugfix check: running jobs
-// back to back on the same loaded graph — both single-shot and via a
-// session — must not accumulate goroutines (stale mailboxes, untracked
-// checkpoint goroutines, spill handles).
+// TestRerunNoGoroutineLeak: running jobs back to back on the same loaded
+// graph — both single-shot and via a session — must not accumulate
+// goroutines (stale mailboxes, untracked checkpoint goroutines, spill
+// handles). The single-shot cases cover every way a one-job session's job
+// can end: clean, under a chaos crash schedule, cancelled, and resumed
+// from a checkpoint.
 func TestRerunNoGoroutineLeak(t *testing.T) {
 	g := servingGraph(t)
 
@@ -376,6 +380,7 @@ func TestRerunNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	runSingleShotExitPaths(t, g)
 	s, err := cluster.NewSession(g, smallConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -397,4 +402,55 @@ func TestRerunNoGoroutineLeak(t *testing.T) {
 	if after > base+3 {
 		t.Fatalf("goroutines leaked across reruns: baseline %d, after %d", base, after)
 	}
+}
+
+// runSingleShotExitPaths runs single-shot jobs that end through a chaos
+// crash schedule, a cancel, and a resume from a committed checkpoint.
+func runSingleShotExitPaths(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	base := smallConfig()
+	base.Partitioner = partition.Hash{}
+	base.Stealing = false
+
+	crash := base
+	crash.Chaos = chaos.New(chaos.Profile{Seed: 7, Crashes: []chaos.Crash{
+		{Node: 1, At: 2 * time.Millisecond, RecoverAfter: time.Millisecond},
+	}})
+	res, err := cluster.Run(g, &slowMark{delay: 100 * time.Microsecond}, crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovered == 0 {
+		t.Fatal("the scheduled crash never ran")
+	}
+	assertSameRecords(t, res.Records, expectedMarks(g))
+
+	j, err := cluster.Start(g, &slowMark{delay: 100 * time.Microsecond}, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Cancel()
+	if _, err := j.Wait(); err != nil && !errors.Is(err, cluster.ErrCancelled) {
+		t.Fatalf("cancelled job: %v", err)
+	}
+
+	ckpt := base
+	ckpt.CheckpointDir = t.TempDir()
+	ckpt.CheckpointEvery = 2 * time.Millisecond
+	j, err = cluster.Start(g, &slowMark{delay: 100 * time.Microsecond}, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForManifest(t, ckpt.CheckpointDir, 30*time.Second)
+	j.Stop()
+	if _, err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt.Resume = true
+	ckpt.CheckpointEvery = 0
+	res, err = cluster.Run(g, &slowMark{delay: 10 * time.Microsecond}, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRecords(t, res.Records, expectedMarks(g))
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"gminer/internal/metrics"
-	"gminer/internal/trace"
 )
 
 // LocalConfig configures the in-process network.
@@ -19,16 +16,12 @@ type LocalConfig struct {
 	// payload/bandwidth of serialization delay behind earlier messages to
 	// the same node. 0 = infinite.
 	BandwidthBps int64
-	// Counters, if non-nil, holds one metrics sink per node; sends are
-	// charged to the sender's counters.
-	Counters []*metrics.Counters
-	// Tracer, if non-nil, records one EvNetSend per message, attributed
-	// to the sending node.
-	Tracer *trace.Tracer
 }
 
 // LocalNetwork is the in-process transport: unbounded per-node mailboxes
-// with optional latency and bandwidth simulation.
+// with optional latency and bandwidth simulation. It keeps no byte
+// accounting: jobs reach it through a Mux, whose endpoints charge each
+// job's own counters.
 type LocalNetwork struct {
 	cfg   LocalConfig
 	boxes []*mailbox
@@ -56,49 +49,22 @@ func (n *LocalNetwork) Endpoint(node int) Endpoint {
 	return &localEndpoint{net: n, node: node}
 }
 
-// Reset replaces node i's mailbox with a fresh one, closing the old box
-// (its blocked receivers unblock with ok=false) and dropping any queued
-// messages. Used by failure simulation: killing a worker loses whatever
-// was in flight to it, exactly like a crashed machine.
-func (n *LocalNetwork) Reset(node int) {
-	n.mu.Lock()
-	old := n.boxes[node]
-	n.boxes[node] = newMailbox()
-	n.mu.Unlock()
-	old.close()
-}
-
 // Close shuts every endpoint.
 func (n *LocalNetwork) Close() {
-	n.mu.Lock()
-	boxes := append([]*mailbox(nil), n.boxes...)
-	n.mu.Unlock()
-	for _, b := range boxes {
+	for _, b := range n.boxes {
 		b.close()
 	}
-}
-
-func (n *LocalNetwork) box(node int) *mailbox {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.boxes[node]
 }
 
 func (n *LocalNetwork) send(from, to int, typ uint8, payload []byte) error {
 	if to < 0 || to >= len(n.boxes) {
 		return fmt.Errorf("transport: invalid destination node %d", to)
 	}
-	bytes := int64(len(payload) + headerBytes)
-	if n.cfg.Counters != nil && from >= 0 && from < len(n.cfg.Counters) && n.cfg.Counters[from] != nil {
-		n.cfg.Counters[from].AddNet(bytes)
-	}
-	if n.cfg.Tracer.Enabled() {
-		n.cfg.Tracer.Handle(from, trace.CompNet).Event(trace.EvNetSend, uint64(bytes))
-	}
 	readyAt := time.Now()
 	if n.cfg.Latency > 0 || n.cfg.BandwidthBps > 0 {
 		readyAt = readyAt.Add(n.cfg.Latency)
 		if n.cfg.BandwidthBps > 0 {
+			bytes := int64(len(payload) + headerBytes)
 			ser := time.Duration(bytes * int64(time.Second) / n.cfg.BandwidthBps)
 			n.mu.Lock()
 			start := readyAt
@@ -115,7 +81,7 @@ func (n *LocalNetwork) send(from, to int, typ uint8, payload []byte) error {
 	if len(payload) > 0 {
 		cp = append([]byte(nil), payload...)
 	}
-	n.box(to).push(Message{From: from, To: to, Type: typ, Payload: cp}, readyAt)
+	n.boxes[to].push(Message{From: from, To: to, Type: typ, Payload: cp}, readyAt)
 	return nil
 }
 
@@ -129,16 +95,16 @@ func (e *localEndpoint) Send(to int, typ uint8, payload []byte) error {
 }
 
 func (e *localEndpoint) Recv() (Message, bool) {
-	return e.net.box(e.node).pop(time.Time{})
+	return e.net.boxes[e.node].pop(time.Time{})
 }
 
 func (e *localEndpoint) RecvTimeout(d time.Duration) (Message, bool) {
-	return e.net.box(e.node).pop(time.Now().Add(d))
+	return e.net.boxes[e.node].pop(time.Now().Add(d))
 }
 
 func (e *localEndpoint) Node() int { return e.node }
 
 func (e *localEndpoint) Close() error {
-	e.net.box(e.node).close()
+	e.net.boxes[e.node].close()
 	return nil
 }

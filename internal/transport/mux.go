@@ -33,9 +33,18 @@ type Mux struct {
 	dropped atomic.Int64
 }
 
-// muxChannel is one job's view of the network: a mailbox per node.
+// muxChannel is one job's view of the network: a mailbox per node. A
+// node's mailbox is swapped for a fresh one by Reset, so readers load it
+// on every use.
 type muxChannel struct {
-	boxes []*mailbox
+	boxes []atomic.Pointer[mailbox]
+}
+
+// closeAll closes every node's mailbox.
+func (c *muxChannel) closeAll() {
+	for i := range c.boxes {
+		c.boxes[i].Load().close()
+	}
 }
 
 // NewMux wraps the underlying endpoints (one per node, workers + master)
@@ -92,7 +101,7 @@ func (m *Mux) demux(node int, ep Endpoint) {
 			m.dropped.Add(1)
 			continue
 		}
-		c.boxes[node].push(msg, time.Now())
+		c.boxes[node].Load().push(msg, time.Now())
 	}
 }
 
@@ -110,14 +119,14 @@ func (m *Mux) Open(ch uint64, counters []*metrics.Counters, tracer *trace.Tracer
 	if _, dup := m.channels[ch]; dup {
 		return nil, fmt.Errorf("transport: mux channel %d already open", ch)
 	}
-	c := &muxChannel{boxes: make([]*mailbox, len(m.under))}
+	c := &muxChannel{boxes: make([]atomic.Pointer[mailbox], len(m.under))}
 	for i := range c.boxes {
-		c.boxes[i] = newMailbox()
+		c.boxes[i].Store(newMailbox())
 	}
 	m.channels[ch] = c
 	eps := make([]Endpoint, len(m.under))
 	for i := range eps {
-		e := &muxEndpoint{mux: m, ch: ch, node: i, box: c.boxes[i], tracer: tracer}
+		e := &muxEndpoint{mux: m, ch: ch, node: i, c: c, tracer: tracer}
 		if counters != nil && i < len(counters) {
 			e.counters = counters[i]
 		}
@@ -136,9 +145,27 @@ func (m *Mux) CloseChannel(ch uint64) {
 	if c == nil {
 		return
 	}
-	for _, b := range c.boxes {
-		b.close()
+	c.closeAll()
+}
+
+// Reset replaces node's mailbox on channel ch with an empty one, the way
+// a crashed machine loses whatever was in flight to it: queued messages
+// are dropped and receivers blocked on the old mailbox unblock with
+// ok=false. Later arrivals queue in the fresh mailbox, which the node's
+// endpoints (and so a replacement worker) read from. Other nodes and
+// other channels are untouched; a closed or unknown channel is a no-op.
+func (m *Mux) Reset(ch uint64, node int) {
+	// Swap under m.mu: a concurrent CloseChannel then either sees (and
+	// closes) the fresh mailbox or has already unregistered the channel.
+	m.mu.Lock()
+	c := m.channels[ch]
+	if c == nil || node < 0 || node >= len(c.boxes) {
+		m.mu.Unlock()
+		return
 	}
+	old := c.boxes[node].Swap(newMailbox())
+	m.mu.Unlock()
+	old.close()
 }
 
 // Close shuts every channel down. The underlying network must be closed by
@@ -153,9 +180,7 @@ func (m *Mux) Close() {
 	}
 	m.mu.Unlock()
 	for _, c := range chans {
-		for _, b := range c.boxes {
-			b.close()
-		}
+		c.closeAll()
 	}
 }
 
@@ -179,7 +204,7 @@ type muxEndpoint struct {
 	mux      *Mux
 	ch       uint64
 	node     int
-	box      *mailbox
+	c        *muxChannel
 	counters *metrics.Counters
 	tracer   *trace.Tracer
 }
@@ -205,17 +230,19 @@ func (e *muxEndpoint) Send(to int, typ uint8, payload []byte) error {
 	return und.Send(to, typ, buf)
 }
 
+func (e *muxEndpoint) box() *mailbox { return e.c.boxes[e.node].Load() }
+
 func (e *muxEndpoint) Recv() (Message, bool) {
-	return e.box.pop(time.Time{})
+	return e.box().pop(time.Time{})
 }
 
 func (e *muxEndpoint) RecvTimeout(d time.Duration) (Message, bool) {
-	return e.box.pop(time.Now().Add(d))
+	return e.box().pop(time.Now().Add(d))
 }
 
 func (e *muxEndpoint) Node() int { return e.node }
 
 func (e *muxEndpoint) Close() error {
-	e.box.close()
+	e.box().close()
 	return nil
 }

@@ -157,3 +157,64 @@ func TestMuxConcurrentChannels(t *testing.T) {
 		t.Fatalf("dropped %d messages", mux.Dropped())
 	}
 }
+
+// queued returns how many messages wait in e's current mailbox.
+func queued(e Endpoint) int {
+	mb := e.(*muxEndpoint).box()
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return len(mb.queue)
+}
+
+// TestMuxReset: resetting node 1 on one channel unblocks its receivers and
+// drops its queued messages; later traffic reaches the fresh mailbox.
+// Node 0 and the other channel keep their queues.
+func TestMuxReset(t *testing.T) {
+	mux, net := newTestMux(2)
+	defer func() { mux.Close(); net.Close(); mux.WaitDemux() }()
+	a, _ := mux.Open(1, nil, nil)
+	b, _ := mux.Open(2, nil, nil)
+
+	old := a[1].(*muxEndpoint).box()
+	recvDone := make(chan bool)
+	go func() {
+		_, ok := old.pop(time.Time{})
+		recvDone <- ok
+	}()
+	mux.Reset(1, 1)
+	select {
+	case ok := <-recvDone:
+		if ok {
+			t.Fatal("blocked receiver got a message from the reset")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("blocked receiver never unblocked")
+	}
+
+	_ = a[0].Send(1, 1, []byte("lost"))
+	_ = a[1].Send(0, 1, []byte("kept-node0"))
+	_ = b[0].Send(1, 1, []byte("kept-chan2"))
+	deadline := time.Now().Add(time.Second)
+	for queued(a[1]) != 1 || queued(a[0]) != 1 || queued(b[1]) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("messages never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mux.Reset(1, 1)
+	if _, ok := a[1].RecvTimeout(10 * time.Millisecond); ok {
+		t.Fatal("queued message survived the reset")
+	}
+
+	_ = a[0].Send(1, 1, []byte("fresh"))
+	if m, ok := a[1].RecvTimeout(time.Second); !ok || string(m.Payload) != "fresh" {
+		t.Fatalf("post-reset delivery: %+v ok=%v", m, ok)
+	}
+	if m, ok := a[0].RecvTimeout(time.Second); !ok || string(m.Payload) != "kept-node0" {
+		t.Fatalf("other node lost its queue: %+v ok=%v", m, ok)
+	}
+	if m, ok := b[1].RecvTimeout(time.Second); !ok || string(m.Payload) != "kept-chan2" {
+		t.Fatalf("other channel lost its queue: %+v ok=%v", m, ok)
+	}
+	mux.Reset(99, 0) // unknown channel: no-op
+}

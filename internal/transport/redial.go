@@ -7,11 +7,9 @@ import (
 )
 
 // RedialPolicy bounds how long a sender keeps re-attempting to dial an
-// unreachable peer before giving the frame up. The zero policy keeps the
-// historical behaviour: one dial attempt, no retry — right for an
-// in-process network where every listener exists for the network's whole
-// lifetime, but not for a worker *process* that is restarting: a restart
-// takes seconds (exec, graph load, partition, join), so peers must keep
+// unreachable peer before giving the frame up. The zero policy means one
+// dial attempt, no retry. A worker *process* that is restarting is gone
+// for seconds (exec, graph load, partition, join), so peers must keep
 // knocking with backoff instead of failing on the first refused dial.
 type RedialPolicy struct {
 	// Budget is the total time to keep re-attempting the dial. Zero means

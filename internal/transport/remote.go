@@ -46,10 +46,9 @@ type RemoteConfig struct {
 	OnFenced func(from int, typ uint8, gen, min uint32)
 }
 
-// RemoteNetwork is the multi-process sibling of TCPNetwork: where NewTCP
-// hosts every node's listener inside one process, a RemoteNetwork hosts
-// exactly ONE node and reaches the others through a peer address table
-// (SetPeer) over the same length-prefixed frame protocol:
+// RemoteNetwork is the multi-process network: it hosts exactly ONE node
+// and reaches the others through a peer address table (SetPeer) over a
+// length-prefixed frame protocol:
 //
 //	[4B big-endian frame length][1B type][4B from][4B generation][payload]
 //
@@ -410,7 +409,8 @@ func (p *remotePeer) next() ([]byte, bool) {
 }
 
 // deliver writes the frame, dialing within the redial budget as needed.
-// Like tcpEndpoint.Send, a failed write gets exactly one retry on a fresh
+// A cached connection may have died since the last frame (peer restart,
+// timed-out write), so a failed write gets exactly one retry on a fresh
 // connection before the frame is given up.
 func (p *remotePeer) deliver(frame []byte) bool {
 	for attempt := 0; attempt < 2; attempt++ {

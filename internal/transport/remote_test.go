@@ -1,10 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"gminer/internal/metrics"
+	"gminer/internal/trace"
 )
 
 // reserveAddr grabs an ephemeral loopback port and releases it, returning
@@ -20,7 +26,7 @@ func reserveAddr(t *testing.T) string {
 	return addr
 }
 
-// Regression for the redial budget: a single bounded redial (SetTimeouts)
+// Regression for the redial budget: a single dial attempt
 // cannot bridge a restarting worker process. Here the peer is unreachable
 // for 2s before it starts accepting; a sender with a redial budget must
 // still get the connection.
@@ -270,25 +276,6 @@ func TestRemoteSetPeerRedirects(t *testing.T) {
 	}
 }
 
-func TestTCPSetRedialBridgesGap(t *testing.T) {
-	// The TCP loopback network's listeners never go away, so exercise the
-	// shared dial path through a RemoteNetwork standing in for a TCP peer
-	// that is down: SetRedial on TCPNetwork shares dialRetry with it, and
-	// the policy plumbing is what this test pins down.
-	n, err := NewTCP(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.SetRedial(RedialPolicy{Budget: 2 * time.Second, Base: 10 * time.Millisecond})
-	if err := n.Endpoint(0).Send(1, 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := n.Endpoint(1).RecvTimeout(5 * time.Second); !ok || string(m.Payload) != "x" {
-		t.Fatalf("got %+v ok=%v", m, ok)
-	}
-}
-
 func TestRemoteDropsAfterBudget(t *testing.T) {
 	dead := reserveAddr(t)
 	a, err := NewRemote(RemoteConfig{
@@ -323,4 +310,186 @@ func ExampleRemoteNetwork() {
 	worker.Close()
 	coord.Close()
 	// Output: 0 -> 1: report
+}
+
+// remotePair connects two single-node RemoteNetworks to each other.
+func remotePair(t *testing.T) (a, b *RemoteNetwork) {
+	t.Helper()
+	a, err := NewRemote(RemoteConfig{Nodes: 2, Local: 0, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = NewRemote(RemoteConfig{Nodes: 2, Local: 1, Listen: "127.0.0.1:0"})
+	if err != nil {
+		a.Close()
+		t.Fatal(err)
+	}
+	a.SetPeer(1, b.Addr())
+	b.SetPeer(0, a.Addr())
+	return a, b
+}
+
+func TestRemoteLargePayload(t *testing.T) {
+	a, b := remotePair(t)
+	defer a.Close()
+	defer b.Close()
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	if err := a.Endpoint().Send(1, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	m, ok := b.Endpoint().RecvTimeout(5 * time.Second)
+	if !ok || !bytes.Equal(m.Payload, payload) {
+		t.Fatalf("1 MiB frame: ok=%v len=%d, payload differs", ok, len(m.Payload))
+	}
+}
+
+// TestRemoteReconnectAfterConnDrop kills the cached outbound connection
+// between two sends; the sender's one retry on a fresh dial must deliver
+// the second frame and drop nothing.
+func TestRemoteReconnectAfterConnDrop(t *testing.T) {
+	a, b := remotePair(t)
+	defer a.Close()
+	defer b.Close()
+	if err := a.Endpoint().Send(1, 1, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := b.Endpoint().RecvTimeout(5 * time.Second); !ok || string(m.Payload) != "before" {
+		t.Fatalf("first frame: %+v ok=%v", m, ok)
+	}
+	// Sever the cached connection out from under the sender (a peer-side
+	// disconnect the sender has not noticed yet).
+	p := a.peers[1]
+	p.mu.Lock()
+	conn := p.conn
+	p.mu.Unlock()
+	if conn == nil {
+		t.Fatal("no cached connection after a delivered frame")
+	}
+	_ = conn.Close()
+	if err := a.Endpoint().Send(1, 2, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := b.Endpoint().RecvTimeout(5 * time.Second); !ok || string(m.Payload) != "after" {
+		t.Fatalf("frame after conn drop: %+v ok=%v", m, ok)
+	}
+	if d := a.Dropped(); d != 0 {
+		t.Fatalf("dropped %d frames across a reconnect", d)
+	}
+}
+
+// TestRemoteConcurrentCloseVsSend hammers Send from many goroutines while
+// Close races in: no panic, and every transport goroutine (accept, read
+// and per-peer sender loops) exits — no leak.
+func TestRemoteConcurrentCloseVsSend(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for round := 0; round < 5; round++ {
+		a, b := remotePair(t)
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for _, n := range []*RemoteNetwork{a, b} {
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(n *RemoteNetwork) {
+					defer wg.Done()
+					ep, payload := n.Endpoint(), make([]byte, 512)
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// Errors are allowed once Close lands; panics are not.
+						_ = ep.Send(i%2, 7, payload)
+					}
+				}(n)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		a.Close()
+		b.Close()
+		close(stop)
+		wg.Wait()
+		if _, ok := b.Endpoint().RecvTimeout(10 * time.Millisecond); ok {
+			// Frames buffered before Close are dropped with the inbox.
+			t.Fatal("closed network still delivering")
+		}
+	}
+	// Read loops unwind asynchronously after Close; give them a bounded
+	// settle window before declaring a leak.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		now := runtime.NumGoroutine()
+		if now <= before+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d before, %d after close\n%s",
+				before, now, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// muxOverRemote opens channel 3 on a two-node multi-process TCP network,
+// charging node 0's sends to cs and tr, and returns both nodes' endpoints.
+func muxOverRemote(t *testing.T, cs []*metrics.Counters, tr *trace.Tracer) (send, recv Endpoint) {
+	t.Helper()
+	a, b := remotePair(t)
+	muxA := NewMux([]Endpoint{a.Endpoint(), nil})
+	muxB := NewMux([]Endpoint{nil, b.Endpoint()})
+	t.Cleanup(func() { muxA.Close(); muxB.Close(); a.Close(); b.Close() })
+	epsA, err := muxA.Open(3, cs, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epsB, err := muxB.Open(3, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return epsA[0], epsB[1]
+}
+
+// sendFrames sends n 100-byte frames from send to node 1 and waits for each.
+func sendFrames(t *testing.T, send, recv Endpoint, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := send.Send(1, 1, make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := recv.RecvTimeout(5 * time.Second); !ok {
+			t.Fatalf("frame %d not delivered", i)
+		}
+	}
+}
+
+// TestTCPByteAccounting: a job's traffic over the multi-process TCP network
+// is charged per send, to the sending node's per-job counters, at the mux
+// endpoint (the RemoteNetwork itself keeps no accounting, so nothing is
+// counted twice).
+func TestTCPByteAccounting(t *testing.T) {
+	cs := []*metrics.Counters{{}, {}}
+	send, recv := muxOverRemote(t, cs, nil)
+	sendFrames(t, send, recv, 2)
+	if snap := cs[0].Snapshot(); snap.NetMsgs != 2 || snap.NetBytes != 2*(100+headerBytes) {
+		t.Fatalf("sender accounting: %+v", snap)
+	}
+	if snap := cs[1].Snapshot(); snap.NetMsgs != 0 {
+		t.Fatalf("receiver charged for sends: %+v", snap)
+	}
+}
+
+// TestTCPTracerCountsSends: each send over the multi-process TCP network
+// records one EvNetSend event on the job's tracer, at the mux endpoint.
+func TestTCPTracerCountsSends(t *testing.T) {
+	tr := trace.New(2, 16).EnableEvents()
+	send, recv := muxOverRemote(t, []*metrics.Counters{{}, {}}, tr)
+	sendFrames(t, send, recv, 2)
+	if got := tr.EventCount(trace.EvNetSend); got != 2 {
+		t.Fatalf("net_send events = %d, want 2", got)
+	}
 }

@@ -1,11 +1,12 @@
 // Package transport carries messages between the master and the workers.
 //
-// Two implementations are provided: an in-process network (the default)
-// whose per-message byte accounting and optional latency/bandwidth model
-// stand in for the paper's Gigabit Ethernet, and a real TCP loopback
-// transport (tcp.go) demonstrating that the engine runs over sockets.
-// Every payload byte is charged to the sender's metrics counters, which is
-// what the "Net. (GB)" columns of Tables 1 and 4 report.
+// Two networks are provided: an in-process one (local.go) whose optional
+// latency/bandwidth model stands in for the paper's Gigabit Ethernet, and
+// a TCP one (remote.go) connecting the processes of a multi-process
+// cluster. Jobs reach either through a Mux (mux.go), which gives every job
+// its own channel and charges every payload byte to the sending node's
+// per-job metrics counters — what the "Net. (GB)" columns of Tables 1
+// and 4 report.
 package transport
 
 import (
