@@ -157,16 +157,6 @@ func (p Profile) Active() bool {
 		len(p.Partitions) > 0 || len(p.Crashes) > 0
 }
 
-// MaxDelay is the longest time any single message can be held back
-// (delay or reorder hold). Termination detectors must widen their
-// stability windows by at least this much.
-func (p Profile) MaxDelay() time.Duration {
-	if p.Delay <= 0 && p.Reorder <= 0 {
-		return 0
-	}
-	return p.delayMax()
-}
-
 func (p Profile) delayMax() time.Duration {
 	if p.DelayMax > 0 {
 		return p.DelayMax
@@ -227,14 +217,6 @@ func (c *Controller) Profile() Profile {
 		return Profile{}
 	}
 	return c.p
-}
-
-// MaxDelay is Profile.MaxDelay, nil-safe.
-func (c *Controller) MaxDelay() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.p.MaxDelay()
 }
 
 // Crashes returns the profile's crash schedule, nil-safe.

@@ -218,16 +218,9 @@ func TestParseProfileNamedAndCustom(t *testing.T) {
 	}
 }
 
-func TestMaxDelay(t *testing.T) {
-	if d := (Profile{}).MaxDelay(); d != 0 {
-		t.Fatalf("zero profile MaxDelay=%v", d)
-	}
-	p := Profile{Delay: 0.1, DelayMax: 7 * time.Millisecond}
-	if d := p.MaxDelay(); d != 7*time.Millisecond {
-		t.Fatalf("MaxDelay=%v", d)
-	}
+func TestNilControllerInert(t *testing.T) {
 	var nilC *Controller
-	if nilC.MaxDelay() != 0 || nilC.Stats() != (Stats{}) || nilC.Crashes() != nil {
+	if nilC.Stats() != (Stats{}) || nilC.Crashes() != nil || nilC.Profile().Active() {
 		t.Fatal("nil controller not inert")
 	}
 }

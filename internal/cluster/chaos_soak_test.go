@@ -6,7 +6,9 @@ import (
 
 	"gminer/internal/chaos"
 	"gminer/internal/cluster"
+	"gminer/internal/core"
 	"gminer/internal/gen"
+	"gminer/internal/graph"
 	"gminer/internal/partition"
 )
 
@@ -133,4 +135,80 @@ func TestChaosSameSeedSameStats(t *testing.T) {
 	if (a.Drops == 0) != (b.Drops == 0) || (a.Delays == 0) != (b.Delays == 0) {
 		t.Fatalf("same seed, different fault mix: %+v / %+v", a, b)
 	}
+}
+
+// TestChaosSoakLongDelays holds control messages — progress reports,
+// termination probes and their replies, steal orders, pull traffic — for
+// up to 25 progress intervals, far past any stability window a clock-based
+// detector could afford. The probe-wave detector must neither end a job
+// early nor hang: every seed's records are byte-identical to the
+// fault-free output.
+func TestChaosSoakLongDelays(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := smallConfig()
+		cfg.Partitioner = partition.Hash{}
+		cfg.PullRetryBase = 10 * time.Millisecond
+		ctl := chaos.New(chaos.Profile{
+			Seed:     uint64(seed),
+			Drop:     0.03,
+			Delay:    0.20,
+			Dup:      0.03,
+			Reorder:  0.05,
+			DelayMin: cfg.ProgressInterval,
+			DelayMax: 25 * cfg.ProgressInterval,
+		})
+		cfg.Chaos = ctl
+		g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1200, Seed: 80 + seed})
+		res, err := cluster.Run(g, &slowMark{delay: 50 * time.Microsecond}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats := ctl.Stats(); stats.Delays == 0 || stats.Reorders == 0 {
+			t.Fatalf("seed %d: soak never delayed a message: %+v", seed, stats)
+		}
+		assertSameRecords(t, res.Records, expectedMarks(g))
+	}
+}
+
+// TestChaosLatencyBandwidthMigrations runs task stealing over a slow,
+// narrow simulated link: a migration batch takes several milliseconds to
+// serialize, a termination probe almost none. The per-receiver FIFO link
+// keeps every batch ahead of any probe sent after it, and the master's
+// sent/received balance keeps a wave from starting while one is on the
+// wire, so the records stay byte-identical.
+func TestChaosLatencyBandwidthMigrations(t *testing.T) {
+	var stolen int64
+	for seed := int64(1); seed <= 5; seed++ {
+		cfg := smallConfig()
+		cfg.Partitioner = partition.Hash{}
+		cfg.Stealing = true
+		cfg.Latency = 500 * time.Microsecond
+		cfg.BandwidthBps = 256 << 10
+		cfg.StealBatch = 64
+		// Small ready/pending queues keep the laggard's backlog in its task
+		// store, where thieves can reach it.
+		cfg.CPQHighWater = 4
+		cfg.MaxPendingPulls = 4
+		g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1200, Seed: 90 + seed})
+		res, err := cluster.Run(g, &laggardMark{slowMark{delay: 50 * time.Microsecond}}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stolen += res.Total.Stolen
+		assertSameRecords(t, res.Records, expectedMarks(g))
+	}
+	if stolen == 0 {
+		t.Fatal("no task was ever stolen: the soak did not exercise migration")
+	}
+}
+
+// laggardMark is slowMark with worker 0 running its tasks ten times
+// slower, so the other workers run dry first and steal from it.
+type laggardMark struct{ slowMark }
+
+func (l *laggardMark) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
+	if env.WorkerID() == 0 {
+		time.Sleep(9 * l.delay)
+	}
+	l.slowMark.Update(t, cands, env)
 }

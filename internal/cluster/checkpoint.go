@@ -95,9 +95,10 @@ type snapshotSink struct {
 	// commit refuse acks bearing a fenced-out generation.
 	fence *fenceTable
 
-	mu  sync.Mutex
-	mem map[int64]map[int][]byte // epoch → worker → raw snapshot payload
-	man *manifest                // latest committed manifest, nil before the first commit
+	mu        sync.Mutex
+	mem       map[int64]map[int][]byte // epoch → worker → raw snapshot payload
+	man       *manifest                // latest committed manifest, nil before the first commit
+	committed chan struct{}            // closed at the next commit; see commitSignal
 }
 
 // newSnapshotSink opens the sink. gen is the writer's fencing generation
@@ -107,7 +108,7 @@ type snapshotSink struct {
 // and is removed so in-job recovery can never restore another run's
 // snapshot.
 func newSnapshotSink(dir string, workers int, fingerprint uint64, gen int64, resume bool) (*snapshotSink, error) {
-	s := &snapshotSink{dir: dir, workers: workers, fingerprint: fingerprint, gen: gen}
+	s := &snapshotSink{dir: dir, workers: workers, fingerprint: fingerprint, gen: gen, committed: make(chan struct{})}
 	if dir == "" {
 		s.mem = make(map[int64]map[int][]byte)
 		return s, nil
@@ -154,6 +155,13 @@ func (s *snapshotSink) manifestView() *manifest {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.man
+}
+
+// commitSignal returns a channel that closes at the next commit.
+func (s *snapshotSink) commitSignal() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.committed
 }
 
 // committedEpochs returns the restorable epochs newest-first.
@@ -225,6 +233,8 @@ func (s *snapshotSink) commit(epoch int64, crcs []uint32, gens []int64) error {
 		}
 	}
 	s.man = next
+	close(s.committed)
+	s.committed = make(chan struct{})
 	s.gcLocked()
 	return nil
 }
@@ -492,16 +502,22 @@ func syncDir(dir string) error {
 // checkpoint). Failure to snapshot or persist is acked negatively so the
 // master abandons the epoch immediately instead of waiting out a timeout.
 func (w *Worker) checkpoint(epoch int64) {
+	w.pauseMu.Lock()
 	w.paused.Store(true)
-	defer w.paused.Store(false)
+	defer func() {
+		w.paused.Store(false)
+		w.pauseMu.Unlock()
+	}()
 	var ckptStart time.Time
 	if w.trCkpt.Active() {
 		ckptStart = time.Now()
 		w.trCkpt.Event(trace.EvCheckpointBegin, uint64(epoch))
 	}
 
-	// Quiesce: wait until every alive task is inactive in the store.
-	deadline := time.Now().Add(w.cfg.CheckpointQuiesceTimeout)
+	// Quiesce: wait until every alive task is inactive in the store. While
+	// paused, executors and migration intake raise w.quiet.
+	deadline := time.NewTimer(w.cfg.CheckpointQuiesceTimeout)
+	defer deadline.Stop()
 	for {
 		if w.stopped() {
 			return
@@ -510,7 +526,10 @@ func (w *Worker) checkpoint(epoch int64) {
 		if int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0 {
 			break
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-w.quiet:
+		case <-w.stopCh:
+		case <-deadline.C:
 			// Could not quiesce (pathological pull starvation); skip this
 			// checkpoint rather than stall the job. The negative ack lets
 			// the master abandon the epoch right away.
@@ -518,7 +537,6 @@ func (w *Worker) checkpoint(epoch int64) {
 			w.ackCheckpoint(epoch, 0, false)
 			return
 		}
-		time.Sleep(300 * time.Microsecond)
 	}
 
 	taskBytes, err := w.store.Snapshot()

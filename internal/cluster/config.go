@@ -80,7 +80,8 @@ type Config struct {
 	// seeds stream into the pipeline with backpressure.
 	EagerSeeding bool
 
-	// ProgressInterval is the progress-report period.
+	// ProgressInterval paces periodic reports, steal requests, pull retries
+	// and memory sampling; no job waits on it (idle workers report at once).
 	ProgressInterval time.Duration
 	// CheckpointEvery takes a checkpoint each interval; 0 disables.
 	CheckpointEvery time.Duration
@@ -140,8 +141,9 @@ type Config struct {
 	Tracer *trace.Tracer
 
 	// RoundHook, if non-nil, is called by the master once per scheduling
-	// round (every ProgressInterval tick) with the round number, from the
-	// master goroutine. It is the cooperative-preemption point the serving
+	// round (each batch of arrived messages, at least once per
+	// ProgressInterval) with the round number, from the master
+	// goroutine. It is the cooperative-preemption point the serving
 	// layer uses to stop over-budget or past-deadline jobs at a round
 	// boundary: the hook may call Job.CancelCause, which only closes a
 	// channel, so it is safe from here. Keep it fast — it runs on the

@@ -98,6 +98,9 @@ func TestRemoteZombieFenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the job open until the replacement is admitted.
+	release := cluster.HoldJob("zombie-fenced")
+	defer release()
 	j, err := rs.Launch(a, cluster.JobOptions{
 		ID:              "zombie-fenced",
 		Spec:            &sp,
@@ -128,6 +131,7 @@ func TestRemoteZombieFenced(t *testing.T) {
 	if replacement.Generation() != 2 {
 		t.Fatalf("replacement admitted at generation %d, want 2", replacement.Generation())
 	}
+	release()
 
 	res, err := j.Wait()
 	if err != nil {
@@ -191,6 +195,9 @@ func TestRemoteRollingRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the job open until every worker has been replaced.
+	release := cluster.HoldJob("rolling")
+	defer release()
 	j, err := rs.Launch(a, cluster.JobOptions{
 		ID:              "rolling",
 		Spec:            &sp,
@@ -227,6 +234,7 @@ func TestRemoteRollingRestart(t *testing.T) {
 			t.Fatalf("worker %d replacement admitted at generation %d, want 2", i, replacement.Generation())
 		}
 	}
+	release()
 
 	res, err := j.Wait()
 	if err != nil {
@@ -281,6 +289,9 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the job open until the coordinator shuts down under it.
+	release := cluster.HoldJob("held-job")
+	defer release()
 	j, err := rs.Launch(a, cluster.JobOptions{
 		ID:              "held-job",
 		Spec:            &sp,
@@ -339,7 +350,9 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resubmit under the original ID — what gminerd's -resume path does.
+	// Resubmit under the original ID — what gminerd's -resume path does —
+	// with the hold lifted so the resumed job can finish.
+	release()
 	a2, err := jobspec.Build(g, held[0].Spec)
 	if err != nil {
 		t.Fatal(err)

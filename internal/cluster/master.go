@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,10 +26,15 @@ type master struct {
 	lastSeen []time.Time
 	partials [][]byte // latest encoded aggregator partial per worker
 
-	// termination detection state
-	stableRounds int
-	lastPrint    []int64 // activity fingerprint of the previous round
-	recovered    bool    // a failure happened: sent/recv sums may never match
+	// Termination detection: probe waves (checkTermination).
+	wave      int64         // newest probe wave
+	waveOpen  bool          // wave is outstanding and unrefuted
+	waveAt    time.Time     // when wave was broadcast
+	waveWait  time.Duration // how long an unanswered wave lives
+	waveBase  []int64       // Activity per worker in the reports wave was based on
+	waveOK    []bool        // worker answered wave idle with unchanged Activity
+	waveLeft  int           // workers yet to answer wave
+	recovered bool          // a failure happened: sent/recv sums may never match
 
 	// checkpoint state
 	epoch        int64
@@ -67,6 +73,9 @@ func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 		counters: counters,
 		reports:  make([]*progressReport, cfg.Workers),
 		lastSeen: make([]time.Time, cfg.Workers),
+		waveWait: cfg.ProgressInterval,
+		waveBase: make([]int64, cfg.Workers),
+		waveOK:   make([]bool, cfg.Workers),
 		partials: make([][]byte, cfg.Workers),
 		ckptAcks: make(map[int]uint32),
 		ackGens:  make(map[int]int64),
@@ -142,6 +151,16 @@ func (m *master) handle(msg transport.Message) {
 		}
 		if p.AggSet {
 			m.partials[p.Worker] = p.AggBytes
+		}
+		if p.Wave == m.wave && m.waveOpen && !m.waveOK[p.Worker] {
+			// A reply to the open wave (a duplicate counts once): work or a
+			// moved Activity refutes the wave.
+			if p.SeedsDone && p.Inflight == 0 && p.Activity == m.waveBase[p.Worker] {
+				m.waveOK[p.Worker] = true
+				m.waveLeft--
+			} else {
+				m.waveOpen = false
+			}
 		}
 	case msgStealReq:
 		m.scheduleSteal(msg.From)
@@ -278,7 +297,7 @@ func (m *master) periodic() {
 			if now.Sub(m.lastSeen[i]) > m.cfg.FailTimeout {
 				m.failed[i] = true
 				m.recovered = true
-				m.stableRounds = 0
+				m.waveOpen = false
 				// A dead worker's checkpoint ack will never arrive: abandon
 				// the in-flight epoch now instead of letting it freeze task
 				// stealing and termination until the ack timeout expires.
@@ -315,70 +334,53 @@ func (m *master) committedEpoch() int64 {
 	return noEpoch
 }
 
-// checkTermination applies the stability-based quiescence test: every
-// worker idle (seeds done, no alive tasks), migration counters balanced,
-// and the per-worker activity fingerprint unchanged across several
-// consecutive rounds. The fingerprint window covers in-flight task
-// messages: any late delivery bumps a worker's activity counter and resets
-// the window.
+// checkTermination is a counting detector (Mattern's four-counter method,
+// argued in DESIGN.md §5). When the latest reports show every worker idle
+// with as many tasks migrated in as out, it broadcasts a probe wave; the
+// job has terminated once every worker answered the wave idle with its
+// Activity unchanged since the report the wave was based on. A wave
+// unanswered for waveWait is replaced, and waveWait doubles, so lost or
+// slow control messages delay the end but never bring it early.
 func (m *master) checkTermination() bool {
-	if m.ckptPending > 0 {
+	if _, held := heldJobs.Load(m.cfg.JobID); held || m.ckptPending > 0 {
 		return false
 	}
-	var sent, recv int64
-	print := make([]int64, m.cfg.Workers)
-	for i, r := range m.reports {
-		if r == nil || m.failed[i] {
-			m.stableRounds = 0
-			m.lastPrint = nil
+	if m.waveOpen {
+		if m.waveLeft == 0 {
+			return true
+		}
+		if time.Since(m.waveAt) < m.waveWait {
 			return false
 		}
-		if !r.SeedsDone || r.Inflight != 0 {
-			m.stableRounds = 0
-			m.lastPrint = nil
+		m.waveWait *= 2
+	}
+	m.waveOpen = false
+	var sent, recv int64
+	for i, r := range m.reports {
+		if r == nil || m.failed[i] || !r.SeedsDone || r.Inflight != 0 {
 			return false
 		}
 		sent += r.TasksSent
 		recv += r.TasksRecv
-		print[i] = r.Activity
 	}
 	if sent != recv && !m.recovered {
-		m.stableRounds = 0
-		m.lastPrint = nil
 		return false
 	}
-	if m.lastPrint != nil && equalInt64(print, m.lastPrint) {
-		m.stableRounds++
-	} else {
-		m.stableRounds = 1
+	m.wave++
+	m.waveOpen = true
+	m.waveAt = time.Now()
+	m.waveLeft = m.cfg.Workers
+	for i, r := range m.reports {
+		m.waveBase[i] = r.Activity
+		m.waveOK[i] = false
 	}
-	m.lastPrint = print
-	// Widen the stability window when the simulated network is slow so an
-	// in-flight migration cannot slip past the quiescence check. Chaos
-	// delay/reorder holds are invisible to the transport's latency model,
-	// so they widen the window the same way.
-	need := 3
-	if m.cfg.Latency > 0 {
-		extra := int(m.cfg.Latency/m.cfg.ProgressInterval)*2 + 1
-		need += extra
-	}
-	if d := m.cfg.Chaos.MaxDelay(); d > 0 {
-		need += int(d/m.cfg.ProgressInterval)*2 + 1
-	}
-	return m.stableRounds >= need
+	m.broadcast(msgProbe, encodeEpoch(m.wave))
+	return false
 }
 
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// heldJobs holds the IDs of jobs whose termination tests veto (HoldJob);
+// empty outside tests.
+var heldJobs sync.Map
 
 func (m *master) broadcast(typ uint8, payload []byte) {
 	for i := 0; i < m.cfg.Workers; i++ {

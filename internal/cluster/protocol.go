@@ -20,8 +20,8 @@ const (
 	// msgPullResp: worker → worker. Payload: count + encoded vertices
 	// (missing vertices are encoded with a tombstone flag).
 	msgPullResp
-	// msgProgress: worker → master. Periodic progress report feeding the
-	// master's progress table (termination, stealing, aggregation).
+	// msgProgress: worker → master. Progress report (periodic, on going idle
+	// or answering msgProbe) for termination, stealing and aggregation.
 	msgProgress
 	// msgStealReq: worker → master. "REQ": the sender is idle and wants
 	// more tasks.
@@ -48,11 +48,13 @@ const (
 	msgCheckpointDone
 	// msgStop: master → worker. Job finished; shut down the pipeline.
 	msgStop
+	// msgProbe: master → worker. Payload: a termination probe wave, which
+	// the worker answers with a msgProgress tagged with it.
+	msgProbe
 )
 
-// progressReport is the periodic worker → master report (§5.1: "a
-// progress reporter that sends its local progress to the master
-// periodically").
+// progressReport is the worker → master report (§5.1: "a progress
+// reporter that sends its local progress to the master periodically").
 type progressReport struct {
 	Worker    int
 	Inflight  int64 // alive tasks owned by this worker (store+queues+active)
@@ -64,6 +66,7 @@ type progressReport struct {
 	Results   int64
 	AggSet    bool   // AggPartial follows
 	AggBytes  []byte // encoded aggregator partial
+	Wave      int64  // probe wave this report answers; 0 = unsolicited
 }
 
 func encodeProgress(p *progressReport) []byte {
@@ -85,6 +88,7 @@ func encodeProgressInto(w *wire.Writer, p *progressReport) {
 	if p.AggSet {
 		w.BytesField(p.AggBytes)
 	}
+	w.Varint(p.Wave)
 }
 
 func decodeProgress(b []byte) (*progressReport, error) {
@@ -102,6 +106,7 @@ func decodeProgress(b []byte) (*progressReport, error) {
 	if p.AggSet {
 		p.AggBytes = r.BytesField()
 	}
+	p.Wave = r.Varint()
 	return p, r.Err()
 }
 

@@ -114,3 +114,14 @@ func (b *taskBuffer) len() int {
 	defer b.mu.Unlock()
 	return len(b.tasks)
 }
+
+// notify wakes the goroutine receiving from ch (capacity 1) without
+// blocking; with nobody waiting, the wakeup is kept for the next receive.
+func notify(ch chan struct{}) {
+	if len(ch) == 0 { // skip the channel lock when a wakeup is pending
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+}

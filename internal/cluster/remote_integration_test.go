@@ -246,6 +246,10 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold the job open until the replacement has joined: the kill must
+	// land mid-job however fast the job runs.
+	release := cluster.HoldJob("kill-rejoin")
+	defer release()
 	j, err := rs.Launch(a2, cluster.JobOptions{
 		ID:              "kill-rejoin",
 		Spec:            &sp,
@@ -294,6 +298,7 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(replacement.Close)
+	release()
 
 	res, err := j.Wait()
 	if err != nil {

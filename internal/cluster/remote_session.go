@@ -605,14 +605,24 @@ func (s *RemoteSession) handleDrain(node int, gen int64) {
 	for _, p := range waits {
 		p.meta.job.requestBarrier()
 	}
-	deadline := time.Now().Add(s.rcfg.ResultTimeout)
+	deadline := time.NewTimer(s.rcfg.ResultTimeout)
+	defer deadline.Stop()
+wait:
 	for _, p := range waits {
-		for p.meta.job.committedEpoch() <= p.before && !p.meta.job.Done() {
-			if time.Now().After(deadline) {
-				s.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, p.meta.id)
+		j := p.meta.job
+		for {
+			committed := j.sink.commitSignal()
+			if j.committedEpoch() > p.before {
 				break
 			}
-			time.Sleep(5 * time.Millisecond)
+			select {
+			case <-committed:
+			case <-j.master.doneCh:
+				continue wait
+			case <-deadline.C:
+				s.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, p.meta.id)
+				break wait
+			}
 		}
 	}
 	_ = s.ctl.Send(node, ctrlDrainOK, encodeCtrl(drainMsg{Gen: gen}))

@@ -471,10 +471,11 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		return
 	}
 	wp.jobs[m.Channel] = wj
+	// Under mu, so it cannot race Close's jobWg.Wait.
+	wp.jobWg.Add(1)
 	wp.mu.Unlock()
 
 	w.start()
-	wp.jobWg.Add(1)
 	go wp.runJob(wj)
 }
 

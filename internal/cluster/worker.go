@@ -88,13 +88,18 @@ type Worker struct {
 	// back as a synchronized burst. Guarded by pendMu.
 	retryRng *rand.Rand
 
-	// Progress counters.
+	// Progress counters. inflight, activity, tasksSent and tasksRecv change
+	// under progMu's read lock, so report (write lock) never sees half of
+	// an intake, death or migration: termination relies on that.
+	progMu     sync.RWMutex
 	inflight   atomic.Int64 // alive tasks owned by this worker
 	activity   atomic.Int64 // bumps on intake/death/migration
 	tasksSent  atomic.Int64
 	tasksRecv  atomic.Int64
 	seedsDone  atomic.Bool
 	seedCursor atomic.Int64
+	wake       chan struct{} // a task entered the buffer (the idle retriever waits)
+	quiet      chan struct{} // a task left the executor (a quiescing checkpoint waits)
 
 	// Aggregator state.
 	aggMu      sync.Mutex
@@ -115,8 +120,12 @@ type Worker struct {
 	// single request listener).
 	pullServe chan pullWork
 
-	paused atomic.Bool // checkpoint quiesce
-	killed atomic.Bool // failure simulation: drop all work silently
+	// pauseMu pauses the seeder and the retriever for a checkpoint, which
+	// holds it (and sets paused) from quiesce to snapshot; each takes it
+	// shared for one step (seed a vertex, pop a task).
+	pauseMu sync.RWMutex
+	paused  atomic.Bool
+	killed  atomic.Bool // failure simulation: drop all work silently
 	// ckptErr is the most recent checkpoint failure (surfaced on
 	// cluster.Result so operators see degraded durability, not silence).
 	ckptMu   sync.Mutex
@@ -202,6 +211,8 @@ func newWorker(id int, cfg Config, algo core.Algorithm, g *graph.Graph,
 		pullBatch:  make(map[int][]graph.VertexID),
 		retryRng:   rand.New(rand.NewSource(0xfa17 + int64(id))),
 		snapshots:  snapshots,
+		wake:       make(chan struct{}, 1),
+		quiet:      make(chan struct{}, 1),
 	}
 	w.pendCond = sync.NewCond(&w.pendMu)
 	w.trSeed = cfg.Tracer.Handle(id, trace.CompSeeder)
@@ -330,15 +341,18 @@ func (w *Worker) assignID(t *core.Task) {
 // buffers it toward the task store. migrated marks tasks received via
 // task stealing.
 func (w *Worker) intake(t *core.Task, migrated bool) {
+	w.progMu.RLock()
 	w.inflight.Add(1)
 	w.activity.Add(1)
 	if migrated {
 		w.tasksRecv.Add(1)
 	}
+	w.progMu.RUnlock()
 	w.computeToPull(t)
 	if batch := w.buffer.add(t); batch != nil {
 		w.flushBatch(batch)
 	}
+	notify(w.wake)
 }
 
 func (w *Worker) flushBatch(batch []*core.Task) {
@@ -376,35 +390,37 @@ func (w *Worker) computeToPull(t *core.Task) {
 // Seeder: the task generator of Figure 4, streaming seeds into the pipeline.
 
 func (w *Worker) seederLoop() {
-	spawn := func(t *core.Task) {
-		w.assignID(t)
-		w.trSeed.Event(trace.EvTaskSeed, t.ID)
-		w.intake(t, false)
-	}
+	// Seed (algorithm code) runs outside pauseMu; its tasks enter the
+	// pipeline with the cursor move, as one step.
+	var seeds []*core.Task
+	spawn := func(t *core.Task) { seeds = append(seeds, t) }
 	for i := int(w.seedCursor.Load()); i < len(w.localIDs); i++ {
 		if w.stopped() {
 			return
 		}
-		for w.paused.Load() {
-			time.Sleep(200 * time.Microsecond)
-			if w.stopped() {
-				return
-			}
-		}
 		if !w.cfg.EagerSeeding {
 			// Streaming seeding (extension, §9): backpressure against the
 			// task store so seeds do not all materialize up front.
-			for w.store.Size() > 2*w.cfg.StoreMemCapacity {
-				time.Sleep(time.Millisecond)
-				if w.stopped() {
-					return
-				}
-			}
+			w.store.WaitBelow(2 * w.cfg.StoreMemCapacity)
 		}
 		w.algo.Seed(w.local[w.localIDs[i]], spawn)
+		w.pauseMu.RLock()
+		for _, t := range seeds {
+			w.assignID(t)
+			w.trSeed.Event(trace.EvTaskSeed, t.ID)
+			w.intake(t, false)
+		}
 		w.seedCursor.Store(int64(i + 1))
+		w.pauseMu.RUnlock()
+		seeds = seeds[:0]
 	}
+	w.pauseMu.RLock()
 	w.seedsDone.Store(true)
+	w.flushBatch(w.buffer.drain())
+	w.pauseMu.RUnlock()
+	if w.inflight.Load() == 0 {
+		w.report(0) // idle at once: tell the master without waiting a tick
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -413,29 +429,35 @@ func (w *Worker) seederLoop() {
 // for the rest; tasks whose pulls are all satisfied go to the CPQ.
 
 func (w *Worker) retrieverLoop() {
-	for {
-		if w.stopped() {
-			return
-		}
-		if w.paused.Load() {
-			time.Sleep(200 * time.Microsecond)
-			continue
-		}
+	for !w.stopped() {
 		// Backpressure: bound ready tasks and in-flight pull tasks so the
 		// references they hold cannot overflow the cache without bound.
 		w.flushPulls()
 		w.cpq.waitBelow(w.cfg.CPQHighWater)
 		w.waitPendingBelow(w.cfg.MaxPendingPulls)
-		t, ok := w.store.TryPop()
-		if !ok {
-			// Nothing to dispatch: push out whatever requests are queued
-			// before going idle.
-			w.flushPulls()
-			time.Sleep(200 * time.Microsecond)
+		if t, ok := w.take(); ok {
+			w.dispatch(t)
 			continue
 		}
-		w.dispatch(t)
+		// Nothing to dispatch: push out whatever requests are queued, then
+		// sleep until a task is buffered.
+		w.flushPulls()
+		select {
+		case <-w.wake:
+		case <-w.stopCh:
+		}
 	}
+}
+
+// take pops the next stored task, refilling a dry store from the buffer.
+func (w *Worker) take() (*core.Task, bool) {
+	w.pauseMu.RLock()
+	defer w.pauseMu.RUnlock()
+	if t, ok := w.store.TryPop(); ok {
+		return t, true
+	}
+	w.flushBatch(w.buffer.drain())
+	return w.store.TryPop()
 }
 
 func (w *Worker) waitPendingBelow(n int) {
@@ -647,6 +669,9 @@ func (w *Worker) executorLoop() {
 			continue
 		}
 		w.runTask(t)
+		if w.paused.Load() {
+			notify(w.quiet) // the task left the executor: a checkpoint may be waiting on it
+		}
 	}
 }
 
@@ -693,6 +718,7 @@ func (w *Worker) runTask(t *core.Task) {
 			if batch := w.buffer.add(t); batch != nil {
 				w.flushBatch(batch)
 			}
+			notify(w.wake)
 			return
 		}
 		if w.stopped() {
@@ -702,12 +728,17 @@ func (w *Worker) runTask(t *core.Task) {
 }
 
 func (w *Worker) taskDead(t *core.Task) {
-	w.inflight.Add(-1)
+	w.progMu.RLock()
+	left := w.inflight.Add(-1)
 	w.activity.Add(1)
+	w.progMu.RUnlock()
 	w.counters.TaskDone()
 	w.trExec.Event(trace.EvTaskDead, t.ID)
 	if obs, ok := w.stealPolicy.(TaskObserver); ok {
 		obs.ObserveCompleted(t.CostC())
+	}
+	if left == 0 && w.seedsDone.Load() {
+		w.report(0) // idle: tell the master without waiting a tick
 	}
 }
 
@@ -773,6 +804,10 @@ func (w *Worker) commLoop() {
 		case msgStop:
 			w.stop()
 			return
+		case msgProbe:
+			if wave, err := decodeEpoch(m.Payload); err == nil {
+				w.report(wave)
+			}
 		}
 	}
 }
@@ -831,14 +866,19 @@ func (w *Worker) handleMigrate(payload []byte) {
 	w.trSteal.Event(trace.EvStealMigrate, uint64(len(tasks)))
 	wr := wire.GetWriter(256 * len(tasks))
 	encodeTasksInto(wr, tasks, w.algo)
-	w.inflight.Add(-int64(len(tasks)))
+	w.progMu.RLock()
+	left := w.inflight.Add(-int64(len(tasks)))
 	w.activity.Add(int64(len(tasks)))
 	w.tasksSent.Add(int64(len(tasks)))
+	w.progMu.RUnlock()
 	for range tasks {
 		w.counters.TaskStolen()
 	}
 	_ = w.ep.Send(thief, msgTasks, wr.Bytes())
 	wire.PutWriter(wr)
+	if left == 0 && w.seedsDone.Load() {
+		w.report(0) // idle: tell the master without waiting a tick
+	}
 }
 
 // handleTasks admits a migration batch.
@@ -852,6 +892,9 @@ func (w *Worker) handleTasks(payload []byte) {
 	}
 	for _, t := range tasks {
 		w.intake(t, true)
+	}
+	if w.paused.Load() {
+		notify(w.quiet) // the batch sits in the buffer until the checkpoint drains it
 	}
 }
 
@@ -878,38 +921,9 @@ func (w *Worker) progressLoop() {
 			return
 		case <-ticker.C:
 		}
-		// Flush tasks and pull requests stranded below batch thresholds.
-		w.flushBatch(w.buffer.drain())
-		w.flushPulls()
 		w.retryStalePulls()
 		w.observeMemory()
-
-		rep := &progressReport{
-			Worker:    w.id,
-			Inflight:  w.inflight.Load(),
-			StoreSize: int64(w.store.Size()),
-			TasksSent: w.tasksSent.Load(),
-			TasksRecv: w.tasksRecv.Load(),
-			Activity:  w.activity.Load(),
-			SeedsDone: w.seedsDone.Load(),
-			Results:   int64(w.resultCount()),
-		}
-		var aggW *wire.Writer
-		if w.agg != nil {
-			aggW = wire.GetWriter(32)
-			w.aggMu.Lock()
-			w.agg.Encode(aggW, w.aggPartial)
-			w.aggMu.Unlock()
-			rep.AggSet = true
-			rep.AggBytes = aggW.Bytes()
-		}
-		pw := wire.GetWriter(64 + len(rep.AggBytes))
-		encodeProgressInto(pw, rep)
-		_ = w.ep.Send(w.masterNode, msgProgress, pw.Bytes())
-		wire.PutWriter(pw)
-		if aggW != nil {
-			wire.PutWriter(aggW)
-		}
+		w.report(0)
 
 		if w.cfg.Stealing && w.seedsDone.Load() && w.inflight.Load() == 0 {
 			if w.stealBackoff.Load() > 0 {
@@ -922,6 +936,44 @@ func (w *Worker) progressLoop() {
 				_ = w.ep.Send(w.masterNode, msgStealReq, nil)
 			}
 		}
+	}
+}
+
+// report sends the master a progress report; wave is the probe wave it
+// answers (0 = unsolicited). A killed worker stays silent.
+func (w *Worker) report(wave int64) {
+	if w.killed.Load() {
+		return
+	}
+	// SeedsDone first: once true, the counters include every seed.
+	rep := &progressReport{
+		Worker:    w.id,
+		SeedsDone: w.seedsDone.Load(),
+		StoreSize: int64(w.store.Size()),
+		Results:   int64(w.resultCount()),
+		Wave:      wave,
+	}
+	w.progMu.Lock()
+	rep.Inflight = w.inflight.Load()
+	rep.TasksSent = w.tasksSent.Load()
+	rep.TasksRecv = w.tasksRecv.Load()
+	rep.Activity = w.activity.Load()
+	w.progMu.Unlock()
+	var aggW *wire.Writer
+	if w.agg != nil {
+		aggW = wire.GetWriter(32)
+		w.aggMu.Lock()
+		w.agg.Encode(aggW, w.aggPartial)
+		w.aggMu.Unlock()
+		rep.AggSet = true
+		rep.AggBytes = aggW.Bytes()
+	}
+	pw := wire.GetWriter(64 + len(rep.AggBytes))
+	encodeProgressInto(pw, rep)
+	_ = w.ep.Send(w.masterNode, msgProgress, pw.Bytes())
+	wire.PutWriter(pw)
+	if aggW != nil {
+		wire.PutWriter(aggW)
 	}
 }
 

@@ -288,7 +288,17 @@ func (s *Store) TryPop() (*core.Task, bool) {
 	if err != nil || t == nil {
 		return nil, false
 	}
+	s.cond.Broadcast() // wake WaitBelow waiters
 	return t, true
+}
+
+// WaitBelow blocks while the open store holds more than n tasks.
+func (s *Store) WaitBelow(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.size > n && !s.closed {
+		s.cond.Wait()
+	}
 }
 
 func (s *Store) popLocked() (*core.Task, error) {
@@ -441,8 +451,8 @@ func DecodeSnapshot(data []byte, codec core.ContextCodec) ([]*core.Task, error) 
 	return tasks, nil
 }
 
-// Close wakes any blocked PopWait callers; the store can still be drained
-// by TryPop but accepts no further inserts.
+// Close wakes any blocked PopWait and WaitBelow callers; the store can
+// still be drained by TryPop but accepts no further inserts.
 func (s *Store) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

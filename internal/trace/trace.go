@@ -180,7 +180,7 @@ type Event struct {
 
 // ring is a fixed-capacity overwrite-oldest event buffer. One ring per
 // worker keeps lock traffic local: a worker's goroutines only ever touch
-// their own ring.
+// their own ring. buf is allocated by EnableEvents (2 MiB by default).
 type ring struct {
 	mu    sync.Mutex
 	buf   []Event
@@ -190,6 +190,10 @@ type ring struct {
 
 func (r *ring) push(e Event) {
 	r.mu.Lock()
+	if r.buf == nil {
+		r.mu.Unlock()
+		return
+	}
 	r.buf[r.next] = e
 	r.next++
 	if r.next == len(r.buf) {
@@ -224,9 +228,10 @@ type Tracer struct {
 	enabled atomic.Bool
 	events  atomic.Bool
 
-	start time.Time
-	rings []*ring
-	hists [numMetrics]Histogram
+	start   time.Time
+	ringCap int
+	rings   []*ring
+	hists   [numMetrics]Histogram
 	// eventCounts survive ring overwrites; they feed the Prometheus sink.
 	eventCounts [numEventTypes]atomic.Int64
 }
@@ -241,9 +246,9 @@ func New(nodes, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCapacity
 	}
-	t := &Tracer{start: time.Now(), rings: make([]*ring, nodes)}
+	t := &Tracer{start: time.Now(), ringCap: ringCap, rings: make([]*ring, nodes)}
 	for i := range t.rings {
-		t.rings[i] = &ring{buf: make([]Event, ringCap)}
+		t.rings[i] = &ring{}
 	}
 	return t
 }
@@ -254,8 +259,16 @@ func (t *Tracer) Enable() *Tracer {
 	return t
 }
 
-// EnableEvents turns on ring-buffer event capture (implies Enable).
+// EnableEvents allocates the rings and turns on ring-buffer event
+// capture (implies Enable). Safe while handles record.
 func (t *Tracer) EnableEvents() *Tracer {
+	for _, r := range t.rings {
+		r.mu.Lock()
+		if r.buf == nil {
+			r.buf = make([]Event, t.ringCap)
+		}
+		r.mu.Unlock()
+	}
 	t.enabled.Store(true)
 	t.events.Store(true)
 	return t

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -116,6 +117,69 @@ func TestHandleWorkerClamping(t *testing.T) {
 	}
 	if evs[0].Worker != 0 || evs[1].Worker != 1 {
 		t.Fatalf("clamping failed: %+v", evs)
+	}
+}
+
+// A histogram-only tracer (Enable, no EnableEvents) is what every served
+// job gets; it must not pay for event rings nobody writes.
+func TestHistogramOnlyTracerAllocatesNoRings(t *testing.T) {
+	const n = 16
+	keep := make([]*Tracer, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = New(3, 0).Enable()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 64<<10 {
+		t.Fatalf("histogram-only tracer allocates %d bytes, want < 64 KiB", per)
+	}
+	keep[0].EnableEvents()
+	h := keep[0].Handle(2, CompExecutor)
+	h.Event(EvTaskDead, 1)
+	if got := keep[0].Events(); len(got) != 1 || got[0].Arg != 1 {
+		t.Fatalf("events after late EnableEvents: %+v", got)
+	}
+}
+
+// EnableEvents may run while handles record (a trace dump requested on a
+// live job): the ring allocation must be race-clean and lose no event
+// recorded after it returns.
+func TestEnableEventsWhileRecording(t *testing.T) {
+	tr := New(2, 256).Enable()
+	var started, done sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			h := tr.Handle(0, CompExecutor)
+			h.Event(EvTaskDead, 0)
+			started.Done()
+			for !tr.EventsEnabled() {
+				h.Event(EvTaskDead, 0)
+			}
+			for i := 0; i < 100; i++ {
+				h.Event(EvTaskDead, 1)
+			}
+		}()
+	}
+	started.Wait()
+	tr.EnableEvents()
+	// Node 1's ring has no other writer, so nothing can overwrite this.
+	tr.Handle(1, CompSeeder).Event(EvTaskSeed, 42)
+	done.Wait()
+	var seeds, dead int
+	for _, e := range tr.Events() {
+		switch {
+		case e.Type == EvTaskSeed && e.Arg == 42:
+			seeds++
+		case e.Type == EvTaskDead && e.Arg == 1:
+			dead++
+		}
+	}
+	if seeds != 1 || dead != 200 {
+		t.Fatalf("after a live EnableEvents: %d seed events (want 1), %d executor events (want 200)", seeds, dead)
 	}
 }
 

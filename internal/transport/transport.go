@@ -72,51 +72,45 @@ func (mb *mailbox) push(m Message, readyAt time.Time) {
 	mb.cond.Broadcast()
 }
 
-// pop blocks until a message is deliverable or the box closes. deadline
-// zero means wait forever.
+// pop blocks until a message is deliverable, the deadline passes or the
+// box closes; deadline zero means wait forever. It waits on the cond: a
+// push or close wakes it, and a timer at the head's delivery time
+// (latency simulation) or the deadline, whichever comes first.
 func (mb *mailbox) pop(deadline time.Time) (Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
+		now := time.Now()
+		wake := deadline
 		if len(mb.queue) > 0 {
 			head := mb.queue[0]
-			wait := time.Until(head.readyAt)
-			if wait <= 0 {
+			if !now.Before(head.readyAt) {
 				mb.queue = mb.queue[1:]
 				return head.m, true
 			}
-			// Latency simulation: sleep outside the lock until the head
-			// message becomes deliverable, then retry.
-			mb.mu.Unlock()
-			if !deadline.IsZero() && time.Until(deadline) < wait {
-				time.Sleep(time.Until(deadline))
-				mb.mu.Lock()
-				if len(mb.queue) > 0 && time.Now().After(mb.queue[0].readyAt) {
-					continue
-				}
-				return Message{}, false
+			if wake.IsZero() || head.readyAt.Before(wake) {
+				wake = head.readyAt
 			}
-			time.Sleep(wait)
-			mb.mu.Lock()
-			continue
-		}
-		if mb.closed {
+		} else if mb.closed {
 			return Message{}, false
 		}
-		if !deadline.IsZero() {
-			if !time.Now().Before(deadline) {
-				return Message{}, false
-			}
-			// Condition variables have no timed wait; poll with a short
-			// sleep. Timeouts are only used on control paths, so the poll
-			// cost is irrelevant.
-			mb.mu.Unlock()
-			time.Sleep(200 * time.Microsecond)
-			mb.mu.Lock()
+		if !deadline.IsZero() && !now.Before(deadline) {
+			return Message{}, false
+		}
+		if wake.IsZero() {
+			mb.cond.Wait()
 			continue
 		}
+		timer := time.AfterFunc(wake.Sub(now), mb.wakeAll)
 		mb.cond.Wait()
+		timer.Stop()
 	}
+}
+
+func (mb *mailbox) wakeAll() {
+	mb.mu.Lock()
+	mb.cond.Broadcast()
+	mb.mu.Unlock()
 }
 
 func (mb *mailbox) close() {
