@@ -70,7 +70,7 @@ func main() {
 		fatal(fmt.Errorf("need -coordinator (the gminerd -cluster-listen address)"))
 	}
 
-	g, err := loadGraph(*graphPath, *format, *preset, *scale)
+	g, err := gen.Load(*graphPath, *format, *preset, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -89,18 +89,11 @@ func main() {
 		Stealing:         *steal,
 		SpillDir:         *spillDir,
 	}
-	switch *part {
-	case "bdg":
-		ccfg.Partitioner = partition.BDG{}
-	case "hash":
-		ccfg.Partitioner = partition.Hash{}
-	case "skewed":
-		ccfg.Partitioner = partition.Skewed{Bias: 0.6}
-	default:
-		fatal(fmt.Errorf("unknown partitioner %q", *part))
+	if ccfg.Partitioner, err = partition.ByName(*part); err != nil {
+		fatal(err)
 	}
 
-	fmt.Printf("graph: %s\n", graph.ComputeStats(datasetName(*graphPath, *preset), g))
+	fmt.Printf("graph: %s\n", graph.ComputeStats(gen.SourceName(*graphPath, *preset), g))
 	wp, err := cluster.StartWorkerProcess(g, ccfg, cluster.WorkerOptions{
 		Coordinator:    *coordinator,
 		Node:           *node,
@@ -133,31 +126,6 @@ func main() {
 		fmt.Println("coordinator link closed: exiting")
 	}
 	wp.Close()
-}
-
-func loadGraph(path, format, preset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		switch format {
-		case "adj":
-			return graph.LoadFile(path)
-		case "edges":
-			return graph.LoadEdgeListFile(path)
-		default:
-			return nil, fmt.Errorf("unknown format %q (want adj or edges)", format)
-		}
-	case preset != "":
-		return gen.Build(gen.Preset(preset), scale)
-	default:
-		return nil, fmt.Errorf("need -graph or -preset")
-	}
-}
-
-func datasetName(path, preset string) string {
-	if path != "" {
-		return path
-	}
-	return preset
 }
 
 func fatal(err error) {

@@ -88,7 +88,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := loadGraph(*graphPath, *format, *preset, *scale)
+	g, err := gen.Load(*graphPath, *format, *preset, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -121,19 +121,9 @@ func main() {
 		CheckpointDir:    *ckptDir,
 		CheckpointEvery:  *ckptEvery,
 		Resume:           *resume,
-		DisablePlans:     *generic,
 	}
-	switch *part {
-	case "bdg":
-		cfg.Partitioner = partition.BDG{}
-	case "hash":
-		cfg.Partitioner = partition.Hash{}
-	case "skewed":
-		cfg.Partitioner = partition.Skewed{Bias: 0.6}
-	case "blocked":
-		cfg.Partitioner = partition.Blocked{}
-	default:
-		fatal(fmt.Errorf("unknown partitioner %q", *part))
+	if cfg.Partitioner, err = partition.ByName(*part); err != nil {
+		fatal(err)
 	}
 
 	var chaosCtl *chaos.Controller
@@ -156,7 +146,7 @@ func main() {
 	}
 	cfg.Tracer = tracer
 
-	fmt.Printf("graph: %s\n", graph.ComputeStats(datasetName(*graphPath, *preset), g))
+	fmt.Printf("graph: %s\n", graph.ComputeStats(gen.SourceName(*graphPath, *preset), g))
 	fmt.Printf("running %s with %d workers x %d threads (%s partitioning, lsh=%v, stealing=%v)\n",
 		a.Name(), cfg.Workers, cfg.Threads, *part, *lsh, *steal)
 	if chaosCtl != nil {
@@ -251,31 +241,6 @@ func main() {
 			fmt.Println(r)
 		}
 	}
-}
-
-func loadGraph(path, format, preset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		switch format {
-		case "adj":
-			return graph.LoadFile(path)
-		case "edges":
-			return graph.LoadEdgeListFile(path)
-		default:
-			return nil, fmt.Errorf("unknown format %q (want adj or edges)", format)
-		}
-	case preset != "":
-		return gen.Build(gen.Preset(preset), scale)
-	default:
-		return nil, fmt.Errorf("need -graph or -preset")
-	}
-}
-
-func datasetName(path, preset string) string {
-	if path != "" {
-		return path
-	}
-	return preset
 }
 
 func fatal(err error) {

@@ -71,7 +71,7 @@ func main() {
 		fatal(err)
 	}
 
-	g, err := loadGraph(*graphPath, *format, *preset, *scale)
+	g, err := gen.Load(*graphPath, *format, *preset, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -95,17 +95,8 @@ func main() {
 		CheckpointDir:    *ckptDir,
 		CheckpointEvery:  *ckptEvery,
 	}
-	switch *part {
-	case "bdg":
-		ccfg.Partitioner = partition.BDG{}
-	case "hash":
-		ccfg.Partitioner = partition.Hash{}
-	case "skewed":
-		ccfg.Partitioner = partition.Skewed{Bias: 0.6}
-	case "blocked":
-		ccfg.Partitioner = partition.Blocked{}
-	default:
-		fatal(fmt.Errorf("unknown partitioner %q", *part))
+	if ccfg.Partitioner, err = partition.ByName(*part); err != nil {
+		fatal(err)
 	}
 	if *dynamic {
 		// Mutations re-place only dirty blocks, which requires the
@@ -119,16 +110,15 @@ func main() {
 		ccfg.Dynamic = true
 	}
 
-	fmt.Printf("graph: %s\n", graph.ComputeStats(datasetName(*graphPath, *preset), g))
-	var sess server.Cluster
-	var held []cluster.HeldJob
+	fmt.Printf("graph: %s\n", graph.ComputeStats(gen.SourceName(*graphPath, *preset), g))
+	var sess *cluster.Session
 	if *clusterListen != "" {
 		// Multi-process coordinator: the engine's workers live in separate
 		// gminer-worker processes dialing in over TCP. Block serving until
 		// every slot has joined — a job launched into a half-formed cluster
 		// would only stall against the failure detector.
 		ccfg.Resume = *resume
-		rs, err := cluster.NewRemoteSession(g, ccfg, cluster.RemoteSessionConfig{
+		sess, err = cluster.NewRemoteSession(g, ccfg, cluster.RemoteSessionConfig{
 			Listen:      *clusterListen,
 			Advertise:   *clusterAdv,
 			FailTimeout: *failTimeout,
@@ -140,18 +130,12 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("coordinator: listening on %s for %d worker processes (fingerprint %x)\n",
-			rs.Addr(), *workers, rs.Fingerprint())
-		if err := rs.WaitReady(*joinTimeout); err != nil {
+			sess.Addr(), *workers, sess.Fingerprint())
+		if err := sess.WaitReady(*joinTimeout); err != nil {
 			fatal(err)
 		}
-		held = rs.HeldJobs()
-		sess = rs
-	} else {
-		s, err := cluster.NewSession(g, ccfg)
-		if err != nil {
-			fatal(err)
-		}
-		sess = s
+	} else if sess, err = cluster.NewSession(g, ccfg); err != nil {
+		fatal(err)
 	}
 	fmt.Printf("warm cluster: %d workers x %d threads, %s partitioning in %.3fs (edge cut %.1f%%)\n",
 		*workers, *threads, *part, sess.PartitionTime().Seconds(), 100*sess.EdgeCut())
@@ -182,7 +166,7 @@ func main() {
 	// layer matches the ID to its JOBSPEC+MANIFEST directory and restores
 	// from the highest epoch all rejoined workers still hold, so the job
 	// continues instead of recomputing from scratch.
-	for _, hj := range held {
+	for _, hj := range sess.HeldJobs() {
 		if err := srv.SubmitJob(server.JobRequest{
 			Spec:                   hj.Spec,
 			ID:                     hj.ID,
@@ -215,31 +199,6 @@ func checkClusterMode(clusterListen string, dynamic bool, jobMem int64) error {
 		return fmt.Errorf("-job-mem %d: per-job memory budgets are not enforced across worker processes; drop -job-mem or -cluster-listen", jobMem)
 	}
 	return nil
-}
-
-func loadGraph(path, format, preset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		switch format {
-		case "adj":
-			return graph.LoadFile(path)
-		case "edges":
-			return graph.LoadEdgeListFile(path)
-		default:
-			return nil, fmt.Errorf("unknown format %q (want adj or edges)", format)
-		}
-	case preset != "":
-		return gen.Build(gen.Preset(preset), scale)
-	default:
-		return nil, fmt.Errorf("need -graph or -preset")
-	}
-}
-
-func datasetName(path, preset string) string {
-	if path != "" {
-		return path
-	}
-	return preset
 }
 
 func fatal(err error) {

@@ -516,7 +516,7 @@ func (w *Worker) checkpoint(epoch int64) {
 
 	// Quiesce: wait until every alive task is inactive in the store. While
 	// paused, executors and migration intake raise w.quiet.
-	deadline := time.NewTimer(w.cfg.CheckpointQuiesceTimeout)
+	deadline := time.NewTimer(checkpointQuiesceTimeout)
 	defer deadline.Stop()
 	for {
 		if w.stopped() {

@@ -58,22 +58,10 @@ type Config struct {
 	Stealing bool
 	// StealBatch is Tnum, the number of tasks migrated per MIGRATE.
 	StealBatch int
-	// StealCostMax is Tc: only tasks with c(t) = |subG|+|cand| < Tc move.
-	StealCostMax int
-	// StealLocalityMax is Tr: only tasks with lr(t) < Tr move.
-	StealLocalityMax float64
-	// StealPolicy overrides the Eq. 2/3 cost model (nil: CostPolicy built
-	// from StealCostMax/StealLocalityMax). Policies implementing
-	// TaskObserver are fed completed-task costs.
+	// StealPolicy overrides the Eq. 2/3 cost model (nil: CostPolicy with
+	// the paper's Tc and Tr, stealCostMax and stealLocalityMax). Policies
+	// implementing TaskObserver are fed completed-task costs.
 	StealPolicy StealPolicy
-
-	// DisablePlans forces algorithms onto their generic exploration paths
-	// instead of compiled execution plans + intersection kernels: no CSR
-	// index is built and KernelConfigurable algorithms are told to stay
-	// generic. The generic path is the differential baseline — results must
-	// be byte-identical either way; this flag exists for that comparison
-	// and as an escape hatch.
-	DisablePlans bool
 
 	// EagerSeeding generates every seed task before processing starts
 	// (the paper's behavior; §9 lists it as an overhead). When false,
@@ -87,9 +75,6 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// CheckpointDir stores checkpoint files (empty: in-memory snapshots).
 	CheckpointDir string
-	// CheckpointQuiesceTimeout bounds how long a worker waits for its
-	// pipeline to quiesce before skipping a checkpoint epoch (default 10s).
-	CheckpointQuiesceTimeout time.Duration
 	// Resume restores the whole job from the newest committed epoch in
 	// CheckpointDir instead of starting from scratch. The manifest's job
 	// fingerprint (graph, algorithm, worker count, partitioner) must match
@@ -101,9 +86,9 @@ type Config struct {
 
 	// PullRetryBase is the initial wait before re-issuing an unanswered
 	// pull request; retries back off exponentially (with jitter) up to
-	// PullRetryMax. Defaults scale with ProgressInterval.
+	// pullRetryMaxFactor times it. The default scales with
+	// ProgressInterval.
 	PullRetryBase time.Duration
-	PullRetryMax  time.Duration
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
 	// fault-injection layer (internal/chaos) and executes the profile's
@@ -118,7 +103,7 @@ type Config struct {
 	// the graph-epoch machinery). Requires the block-decomposable
 	// partition.Blocked partitioner — the only one whose incremental
 	// re-placement provably equals a from-scratch partition. Single-shot
-	// jobs and RemoteSessions reject it.
+	// jobs and coordinator sessions (NewRemoteSession) reject it.
 	Dynamic bool
 	// GraphEpoch stamps the graph epoch a job runs at. Sessions set it at
 	// Launch; it folds into the job fingerprint so a checkpoint taken
@@ -150,21 +135,32 @@ type Config struct {
 	// master's control loop.
 	RoundHook func(round int64)
 
-	// PullServeWorkers is the size of the per-worker pool serving
-	// incoming pull requests. With 1, responses are encoded inline on the
-	// communication loop (the paper's request listener); more workers
-	// stop one large neighborhood read from head-of-line-blocking every
-	// other requester's response.
-	PullServeWorkers int
-
 	// MaxPendingPulls bounds tasks waiting in the CMQ per worker.
 	MaxPendingPulls int
 	// CPQHighWater bounds the ready-task computation queue per worker.
 	CPQHighWater int
-	// BufferFlush is the task-buffer batch size (§4.3: "inserted into the
-	// task store in batches").
-	BufferFlush int
 }
+
+// Engine tuning constants.
+const (
+	// pullServeWorkers is the size of the per-worker pool serving incoming
+	// pull requests, so one large neighborhood read cannot
+	// head-of-line-block every other requester's response.
+	pullServeWorkers = 4
+	// bufferFlush is the task-buffer batch size (§4.3: "inserted into the
+	// task store in batches").
+	bufferFlush = 64
+	// stealCostMax is Tc: only tasks with c(t) = |subG|+|cand| < Tc move.
+	stealCostMax = 4096
+	// stealLocalityMax is Tr: only tasks with lr(t) < Tr move.
+	stealLocalityMax = 0.9
+	// checkpointQuiesceTimeout bounds how long a worker waits for its
+	// pipeline to quiesce before skipping a checkpoint epoch.
+	checkpointQuiesceTimeout = 10 * time.Second
+	// pullRetryMaxFactor caps the pull retry backoff at this multiple of
+	// Config.PullRetryBase.
+	pullRetryMaxFactor = 16
+)
 
 // Defaults fills unset fields with production defaults.
 func (c Config) Defaults() Config {
@@ -180,9 +176,6 @@ func (c Config) Defaults() Config {
 	if c.CacheShards <= 0 {
 		c.CacheShards = cache.DefaultShards
 	}
-	if c.PullServeWorkers <= 0 {
-		c.PullServeWorkers = 4
-	}
 	if c.StoreMemCapacity <= 0 {
 		c.StoreMemCapacity = 8192
 	}
@@ -195,26 +188,14 @@ func (c Config) Defaults() Config {
 	if c.StealBatch <= 0 {
 		c.StealBatch = 32
 	}
-	if c.StealCostMax <= 0 {
-		c.StealCostMax = 4096
-	}
-	if c.StealLocalityMax <= 0 {
-		c.StealLocalityMax = 0.9
-	}
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 2 * time.Millisecond
-	}
-	if c.CheckpointQuiesceTimeout <= 0 {
-		c.CheckpointQuiesceTimeout = 10 * time.Second
 	}
 	if c.PullRetryBase <= 0 {
 		// First retry after ~30 report periods: late enough that a slow
 		// response usually wins the race, early enough that a lost batch
 		// does not stall the CMQ window for long.
 		c.PullRetryBase = 30 * c.ProgressInterval
-	}
-	if c.PullRetryMax <= 0 {
-		c.PullRetryMax = 16 * c.PullRetryBase
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = partition.BDG{}
@@ -235,9 +216,6 @@ func (c Config) Defaults() Config {
 		if max := c.CacheCapacity / 16; c.CPQHighWater > max && max >= 8 {
 			c.CPQHighWater = max
 		}
-	}
-	if c.BufferFlush <= 0 {
-		c.BufferFlush = 64
 	}
 	return c
 }

@@ -59,10 +59,10 @@ func TestRetryStalePullsReresolvesOwner(t *testing.T) {
 }
 
 // TestRetryDelayBacksOffAndCaps checks the exponential growth, the
-// PullRetryMax cap and the ±25%% jitter envelope.
+// pullRetryMaxFactor cap and the ±25%% jitter envelope.
 func TestRetryDelayBacksOffAndCaps(t *testing.T) {
 	w, _, _ := newTestWorker(t)
-	base, max := w.cfg.PullRetryBase, w.cfg.PullRetryMax
+	base, max := w.cfg.PullRetryBase, pullRetryMaxFactor*w.cfg.PullRetryBase
 	w.pendMu.Lock()
 	defer w.pendMu.Unlock()
 	for i := 0; i < 50; i++ {

@@ -275,7 +275,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers <= 0 || c.Threads <= 0 || c.CacheCapacity <= 0 ||
 		c.StoreMemCapacity <= 0 || c.LSHDims <= 0 || c.StealBatch <= 0 ||
 		c.ProgressInterval <= 0 || c.Partitioner == nil ||
-		c.MaxPendingPulls <= 0 || c.CPQHighWater <= 0 || c.BufferFlush <= 0 {
+		c.MaxPendingPulls <= 0 || c.CPQHighWater <= 0 {
 		t.Fatalf("defaults incomplete: %+v", c)
 	}
 	// Pipeline windows scale with the cache.

@@ -93,9 +93,9 @@ type Job struct {
 	counters []*metrics.Counters // one per node (workers + master)
 	sampler  *metrics.Sampler
 
-	// remote is set when the job's workers live in other processes
-	// (RemoteSession): no local Worker structs exist and the final records
-	// arrive over the control channel instead of takeResults.
+	// remote is set when the job's workers live in other processes (a
+	// coordinator session): no local Worker structs exist and the final
+	// records arrive over the control channel instead of takeResults.
 	remote *remoteJobState
 	// fence is the coordinator's fencing-token ledger (nil outside
 	// multi-process mode), shared with the master and snapshot sink.
@@ -132,8 +132,7 @@ type launchEnv struct {
 	channel   uint64
 	release   func()
 	// csr is the session's prebuilt degree-ranked adjacency index, shared
-	// read-only by every job on the resident graph (nil when the session
-	// disabled plans).
+	// read-only by every job on the resident graph (nil on a coordinator).
 	csr *kernels.CSR
 	// remote, when non-nil, marks the workers as living in other
 	// processes: startJob builds only the master and Wait collects
@@ -165,17 +164,10 @@ type remoteJobState struct {
 	done     chan struct{}
 }
 
-// remoteStateWithFence builds the collector with the coordinator's
-// fencing ledger attached (the multi-process session path).
-func remoteStateWithFence(workers int, timeout time.Duration, fence *fenceTable) *remoteJobState {
-	r := newRemoteJobState(workers, timeout)
-	r.fence = fence
-	return r
-}
-
-func newRemoteJobState(workers int, timeout time.Duration) *remoteJobState {
+func newRemoteJobState(workers int, timeout time.Duration, fence *fenceTable) *remoteJobState {
 	return &remoteJobState{
 		timeout:  timeout,
+		fence:    fence,
 		records:  make(map[int][]string),
 		counters: make(map[int]metrics.Snapshot),
 		ckptErrs: make(map[int]string),
@@ -265,14 +257,10 @@ func startJob(g *graph.Graph, algo core.Algorithm, cfg Config, env *launchEnv) (
 	}
 
 	// Configure the kernel layer before any seeding: plan-capable
-	// algorithms get the session's CSR index unless the config forces the
-	// generic baseline.
+	// algorithms get the session's CSR index (an algorithm built with its
+	// Generic field set keeps to the generic baseline regardless).
 	if kc, ok := algo.(core.KernelConfigurable); ok {
-		csr := env.csr
-		if cfg.DisablePlans {
-			csr = nil
-		}
-		kc.ConfigureKernels(csr, cfg.DisablePlans)
+		kc.ConfigureKernels(env.csr, false)
 	}
 
 	endpoints := append([]transport.Endpoint(nil), env.endpoints...)
@@ -421,6 +409,28 @@ func (j *Job) restoreAllWorkers(endpoints []transport.Endpoint) ([]*Worker, erro
 	return nil, fmt.Errorf("cluster: resume: no usable committed epoch: %w", lastErr)
 }
 
+// restoreOrFresh builds worker i from the newest of refs whose snapshot
+// verifies against the ref's commit-time checksum and decodes, falling
+// back across older refs, and with none usable builds a fresh worker —
+// safe, because the worker's un-checkpointed results died with it. failed
+// hears of every epoch that did not restore. It returns the restored
+// epoch, noEpoch for a fresh start.
+func restoreOrFresh(sink *snapshotSink, i int, refs []resumeEpochRef,
+	build func(*workerSnapshot) (*Worker, error), failed func(epoch int64, err error)) (*Worker, int64, error) {
+	for _, ref := range refs {
+		snap, err := sink.loadWith(i, ref.Epoch, ref.CRC)
+		if err == nil {
+			var w *Worker
+			if w, err = build(snap); err == nil {
+				return w, ref.Epoch, nil
+			}
+		}
+		failed(ref.Epoch, err)
+	}
+	w, err := build(nil)
+	return w, noEpoch, err
+}
+
 // releaseWorkers tears down never-started workers from an abandoned build.
 func releaseWorkers(ws []*Worker) {
 	for _, w := range ws {
@@ -502,25 +512,13 @@ func (j *Job) RecoverWorker(i int) error {
 		ep = j.cfg.Chaos.Wrap(ep)
 	}
 	tr := j.cfg.Tracer.Handle(i, trace.CompCheckpoint)
-	var w *Worker
-	for _, epoch := range j.sink.committedEpochs() {
-		snap, err := j.sink.load(i, epoch)
-		if err == nil {
-			w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.locals[i], ep, j.counters[i], j.sink, snap)
-		}
-		if err != nil {
-			tr.Event(trace.EvRestoreFail, uint64(epoch))
-			w = nil
-			continue
-		}
-		break
-	}
-	if w == nil {
-		var err error
-		w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.locals[i], ep, j.counters[i], j.sink, nil)
-		if err != nil {
-			return err
-		}
+	w, _, err := restoreOrFresh(j.sink, i, j.sink.manifestView().refs(i),
+		func(snap *workerSnapshot) (*Worker, error) {
+			return newWorker(i, j.cfg, j.algo, j.g, j.assign, j.locals[i], ep, j.counters[i], j.sink, snap)
+		},
+		func(epoch int64, _ error) { tr.Event(trace.EvRestoreFail, uint64(epoch)) })
+	if err != nil {
+		return err
 	}
 	w.oomFn = j.budgetAbort
 	j.workerMu.Lock()

@@ -103,6 +103,19 @@ func (m *manifest) epochs() []int64 {
 	return out
 }
 
+// refs returns one worker's column of the manifest: the committed
+// (epoch, crc) pairs newest first, what a restore verifies its snapshot
+// file against.
+func (m *manifest) refs(worker int) []resumeEpochRef {
+	var out []resumeEpochRef
+	for _, epoch := range m.epochs() {
+		if crcs := m.crcsFor(epoch); worker < len(crcs) {
+			out = append(out, resumeEpochRef{Epoch: epoch, CRC: crcs[worker]})
+		}
+	}
+	return out
+}
+
 // crcsFor returns the per-worker checksums of a committed epoch, or nil if
 // the manifest does not vouch for that epoch.
 func (m *manifest) crcsFor(epoch int64) []uint32 {

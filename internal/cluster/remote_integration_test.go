@@ -20,7 +20,7 @@ import (
 // remoteTestCluster brings up a coordinator and cfg.Workers in-process
 // WorkerProcess instances over real TCP sockets.
 func remoteTestCluster(t *testing.T, g *graph.Graph, cfg cluster.Config,
-	rcfg cluster.RemoteSessionConfig, wopt cluster.WorkerOptions) (*cluster.RemoteSession, []*cluster.WorkerProcess) {
+	rcfg cluster.RemoteSessionConfig, wopt cluster.WorkerOptions) (*cluster.Session, []*cluster.WorkerProcess) {
 	t.Helper()
 	rcfg.Logf = t.Logf
 	rs, err := cluster.NewRemoteSession(g, cfg, rcfg)

@@ -10,10 +10,10 @@ import (
 
 // Control plane of the multi-process cluster. Mux channel 0 is reserved
 // for coordinator ↔ worker-process control traffic; job channels start at
-// 1 (both Session and RemoteSession allocate from 1). Control payloads
-// are JSON: they are tiny, infrequent (job start/stop, final results,
-// heartbeats) and evolve more often than the hot-path codecs, so
-// self-describing encoding beats hand-rolled wire here.
+// 1 (every Session allocates from 1). Control payloads are JSON: they are
+// tiny, infrequent (job start/stop, final results, heartbeats) and evolve
+// more often than the hot-path codecs, so self-describing encoding beats
+// hand-rolled wire here.
 //
 // Message types live in their own range (64+) so a control frame
 // misrouted onto a job channel can never be mistaken for an engine

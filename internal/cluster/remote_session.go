@@ -11,10 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/partition"
 	"gminer/internal/trace"
 	"gminer/internal/transport"
 )
@@ -135,31 +133,25 @@ type HeldJob struct {
 	CheckpointEverySeconds float64
 }
 
-// RemoteSession is the multi-process sibling of Session: the same
-// serve-many-jobs surface (Launch, ActiveJobs, Close, fingerprint, ...)
-// with the K engine workers living in other OS processes. The coordinator
-// owns admission (the join handshake), the job registry, the checkpoint
-// MANIFEST and every job's master; worker processes own the partition
-// tables, the task pipelines and the checkpoint payload files.
+// coordinator is the part of a Session only a multi-process coordinator
+// has: the worker slots and their admission gate, the control channel and
+// its loop, the fencing ledger, the TCP transport and the jobs a `-resume`
+// start found on disk. The coordinator owns admission (the join
+// handshake), the job registry, the checkpoint MANIFEST and every job's
+// master; worker processes own the partition tables, the task pipelines
+// and the checkpoint payload files.
 //
 // Determinism is preserved across the process split: the partition
 // assignment is a pure function of (graph, workers, partitioner) computed
 // identically on every process, task IDs are worker-scoped, and the final
 // record set is sorted after the per-worker results are merged — so a
-// job's records are byte-identical to the same job on a single-process
+// job's records are byte-identical to the same job on an in-process
 // Session.
-type RemoteSession struct {
-	g    *graph.Graph
-	cfg  Config
+type coordinator struct {
+	s    *Session
 	rcfg RemoteSessionConfig
-
-	assign        *partition.Assignment
-	partitionTime time.Duration
-	fingerprint   uint64
-
-	net *transport.RemoteNetwork
-	mux *transport.Mux
-	ctl transport.Endpoint
+	net  *transport.RemoteNetwork
+	ctl  transport.Endpoint
 
 	readyOnce sync.Once
 	readyCh   chan struct{}
@@ -173,8 +165,6 @@ type RemoteSession struct {
 	// still fire per refusal.
 	fencedSeen []atomic.Int64
 
-	jobs jobRegistry
-
 	mu      sync.Mutex
 	slots   []workerSlot
 	byCh    map[uint64]*remoteJobMeta
@@ -185,12 +175,13 @@ type RemoteSession struct {
 	resumable map[string]HeldJob
 }
 
-// NewRemoteSession starts the coordinator: it partitions the graph (for
-// the fingerprint, edge-cut reporting and job masters), binds the cluster
-// listener and begins admitting worker processes. Jobs may be launched
-// immediately; their masters' traffic to not-yet-joined workers queues in
-// the transport until the worker dials in (WaitReady avoids that warm-up).
-func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*RemoteSession, error) {
+// NewRemoteSession starts a coordinator session: it partitions the graph
+// (for the fingerprint, edge-cut reporting and job masters), binds the
+// cluster listener and begins admitting worker processes. Jobs may be
+// launched immediately; their masters' traffic to not-yet-joined workers
+// queues in the transport until the worker dials in (WaitReady avoids
+// that warm-up).
+func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Session, error) {
 	cfg = cfg.Defaults()
 	rcfg = rcfg.withDefaults()
 	if !g.Frozen() {
@@ -209,9 +200,7 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 		return nil, errRemoteMemBudget
 	}
 
-	s := &RemoteSession{
-		g:          g,
-		cfg:        cfg,
+	c := &coordinator{
 		rcfg:       rcfg,
 		readyCh:    make(chan struct{}),
 		fence:      newFenceTable(cfg.Workers),
@@ -221,51 +210,48 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 		fencedSeen: make([]atomic.Int64, cfg.Workers),
 	}
 	if cfg.Resume {
-		s.resumable = scanHeldJobs(cfg.CheckpointDir)
+		c.resumable = scanHeldJobs(cfg.CheckpointDir)
 		// The session-level Resume flag has done its work (the scan); jobs
 		// resume individually by ID so fresh launches still start clean.
-		s.cfg.Resume = false
 		cfg.Resume = false
 	}
-
-	pStart := time.Now()
-	assign, err := cfg.Partitioner.Partition(g, cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: session partition: %w", err)
+	s := &Session{g: g, cfg: cfg, coord: c}
+	c.s = s
+	if err := s.partition(); err != nil {
+		return nil, err
 	}
-	s.partitionTime = time.Since(pStart)
-	s.assign = assign
-	s.fingerprint = jobFingerprint(g, "session", cfg)
 
 	nodes := cfg.Workers + 1
-	s.net, err = transport.NewRemote(transport.RemoteConfig{
+	var err error
+	c.net, err = transport.NewRemote(transport.RemoteConfig{
 		Nodes:     nodes,
 		Local:     cfg.Workers, // the coordinator holds the master slot K
 		Listen:    rcfg.Listen,
 		Advertise: rcfg.Advertise,
 		Redial:    rcfg.Redial,
-		Hello:     s.handleHello,
+		Hello:     c.handleHello,
 		// Transport-level fencing refusals (frames a zombie sent after its
 		// slot was reclaimed) surface as EvFenced trace events on every
 		// live job, same as the control loop's app-level refusals.
 		OnFenced: func(from int, typ uint8, gen, min uint32) {
-			s.traceFenced(from, int64(gen), typ)
+			c.traceFenced(from, int64(gen), typ)
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.net = c.net
 	under := make([]transport.Endpoint, nodes)
-	under[cfg.Workers] = s.net.Endpoint()
+	under[cfg.Workers] = c.net.Endpoint()
 	s.mux = transport.NewMuxPaused(under)
 	ctlEps, err := s.mux.Open(ctrlChannel, nil, nil)
 	if err != nil {
-		s.net.Close()
+		c.net.Close()
 		return nil, err
 	}
-	s.ctl = ctlEps[cfg.Workers]
+	c.ctl = ctlEps[cfg.Workers]
 	s.mux.StartDemux()
-	go s.ctlLoop()
+	go c.ctlLoop()
 	return s, nil
 }
 
@@ -303,13 +289,18 @@ func scanHeldJobs(root string) map[string]HeldJob {
 }
 
 // HeldJobs lists the resumable jobs a `-resume` coordinator found on
-// disk, sorted by ID. The serving layer resubmits each (same ID) once the
-// worker slots have rejoined; Launch then restores it from the MANIFEST.
-func (s *RemoteSession) HeldJobs() []HeldJob {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]HeldJob, 0, len(s.resumable))
-	for _, hj := range s.resumable {
+// disk, sorted by ID (nil in-process). The serving layer resubmits each
+// (same ID) once the worker slots have rejoined; Launch then restores it
+// from the MANIFEST.
+func (s *Session) HeldJobs() []HeldJob {
+	c := s.coord
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]HeldJob, 0, len(c.resumable))
+	for _, hj := range c.resumable {
 		out = append(out, hj)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -322,32 +313,33 @@ func (s *RemoteSession) HeldJobs() []HeldJob {
 // the peer address, rebroadcasts the topology, and re-starts every live
 // job on the joiner — the epoch-fallback rejoin path a replacement process
 // takes after a crash.
-func (s *RemoteSession) handleHello(payload []byte) []byte {
+func (c *coordinator) handleHello(payload []byte) []byte {
 	reject := func(reason string) []byte {
-		s.logf("join rejected: %s", reason)
+		c.logf("join rejected: %s", reason)
 		return encodeWelcome(welcomeFrame{OK: false, Reason: reason})
 	}
 	h, err := decodeHello(payload)
 	if err != nil {
 		return reject(err.Error())
 	}
-	if err := validateHello(h, s.fingerprint, s.cfg.Workers); err != nil {
+	workers := c.s.cfg.Workers
+	if err := validateHello(h, c.s.Fingerprint(), workers); err != nil {
 		return reject(err.Error())
 	}
 
-	if s.jobs.isClosed() {
+	if c.s.jobs.isClosed() {
 		return reject("cluster: coordinator shutting down")
 	}
-	s.mu.Lock()
+	c.mu.Lock()
 	slot := int(h.Node)
 	if slot < 0 {
-		slot = s.pickSlotLocked()
+		slot = c.pickSlotLocked()
 	}
 	if slot < 0 {
-		s.mu.Unlock()
-		return reject(fmt.Sprintf("cluster: all %d worker slots joined and live", s.cfg.Workers))
+		c.mu.Unlock()
+		return reject(fmt.Sprintf("cluster: all %d worker slots joined and live", workers))
 	}
-	st := &s.slots[slot]
+	st := &c.slots[slot]
 	rejoin := st.generation > 0
 	st.addr = h.Advertise
 	st.joined = true
@@ -367,41 +359,32 @@ func (s *RemoteSession) handleHello(payload []byte) []byte {
 	// instant the previous holder of the slot is a zombie everywhere — the
 	// transport drops its frames, the masters drop its acks, the sinks
 	// refuse its commits.
-	s.fence.raise(slot, int64(generation))
-	s.net.FencePeer(slot, uint32(generation))
-	s.net.SetPeer(slot, h.Advertise)
+	c.fence.raise(slot, int64(generation))
+	c.net.FencePeer(slot, uint32(generation))
+	c.net.SetPeer(slot, h.Advertise)
 
-	peers, gens := s.peerTableLocked()
-	allJoined := true
-	for i := range s.slots {
-		if !s.slots[i].joined {
-			allJoined = false
-			break
-		}
-	}
+	peers, gens := c.peerTableLocked()
+	allJoined := c.allJoinedLocked()
 	// Snapshot the live jobs so the (re)start messages go out after the
 	// lock drops: encodeCtrl and manifest walks need no registry state.
-	restarts := make([]*remoteJobMeta, 0, len(s.byCh))
-	for _, meta := range s.byCh {
-		restarts = append(restarts, meta)
-	}
-	s.mu.Unlock()
+	restarts := c.liveJobsLocked()
+	c.mu.Unlock()
 
-	s.logf("worker %d joined from %s (generation %d)", slot, h.Advertise, generation)
-	s.broadcastTopology(peers, gens)
+	c.logf("worker %d joined from %s (generation %d)", slot, h.Advertise, generation)
+	c.broadcastTopology(peers, gens)
 	for _, meta := range restarts {
-		s.sendJobStart(slot, meta, true)
+		c.sendJobStart(slot, meta, true)
 		if rejoin {
 			meta.job.noteRecovered()
 		}
 	}
 	if allJoined {
-		s.readyOnce.Do(func() { close(s.readyCh) })
+		c.readyOnce.Do(func() { close(c.readyCh) })
 	}
 	return encodeWelcome(welcomeFrame{
 		OK:         true,
 		Node:       int32(slot),
-		Workers:    int32(s.cfg.Workers),
+		Workers:    int32(workers),
 		Peers:      peers,
 		Generation: int64(generation),
 	})
@@ -409,35 +392,66 @@ func (s *RemoteSession) handleHello(payload []byte) []byte {
 
 // pickSlotLocked auto-assigns a slot: the first never/no-longer-joined
 // one, else the stalest joined slot whose silence exceeds the failure
-// timeout (its process is presumed dead), else -1. Caller holds s.mu.
-func (s *RemoteSession) pickSlotLocked() int {
-	for i := range s.slots {
-		if !s.slots[i].joined {
+// timeout (its process is presumed dead), else -1. Caller holds c.mu.
+func (c *coordinator) pickSlotLocked() int {
+	for i := range c.slots {
+		if !c.slots[i].joined {
 			return i
 		}
 	}
-	stalest, age := -1, s.rcfg.FailTimeout
-	for i := range s.slots {
-		if since := time.Since(s.slots[i].lastSeen); since > age {
+	stalest, age := -1, c.rcfg.FailTimeout
+	for i := range c.slots {
+		if since := time.Since(c.slots[i].lastSeen); since > age {
 			stalest, age = i, since
 		}
 	}
 	return stalest
 }
 
+// allJoinedLocked reports whether every worker slot is joined. Caller
+// holds c.mu.
+func (c *coordinator) allJoinedLocked() bool {
+	for i := range c.slots {
+		if !c.slots[i].joined {
+			return false
+		}
+	}
+	return true
+}
+
+// joinedLocked lists the joined slots. Caller holds c.mu.
+func (c *coordinator) joinedLocked() []int {
+	joined := make([]int, 0, len(c.slots))
+	for i := range c.slots {
+		if c.slots[i].joined {
+			joined = append(joined, i)
+		}
+	}
+	return joined
+}
+
+// liveJobsLocked snapshots the live jobs. Caller holds c.mu.
+func (c *coordinator) liveJobsLocked() []*remoteJobMeta {
+	metas := make([]*remoteJobMeta, 0, len(c.byCh))
+	for _, meta := range c.byCh {
+		metas = append(metas, meta)
+	}
+	return metas
+}
+
 // peerTableLocked builds the dial-address table and the matching slot
 // generations: workers 0..K-1, the coordinator at K (generation 0: the
-// coordinator is never fenced). Caller holds s.mu.
-func (s *RemoteSession) peerTableLocked() ([]string, []int64) {
-	peers := make([]string, s.cfg.Workers+1)
-	gens := make([]int64, s.cfg.Workers+1)
-	for i := range s.slots {
-		if s.slots[i].joined {
-			peers[i] = s.slots[i].addr
+// coordinator is never fenced). Caller holds c.mu.
+func (c *coordinator) peerTableLocked() ([]string, []int64) {
+	peers := make([]string, len(c.slots)+1)
+	gens := make([]int64, len(c.slots)+1)
+	for i := range c.slots {
+		if c.slots[i].joined {
+			peers[i] = c.slots[i].addr
 		}
-		gens[i] = int64(s.slots[i].generation)
+		gens[i] = int64(c.slots[i].generation)
 	}
-	peers[s.cfg.Workers] = s.net.Addr()
+	peers[len(c.slots)] = c.net.Addr()
 	return peers, gens
 }
 
@@ -446,11 +460,11 @@ func (s *RemoteSession) peerTableLocked() ([]string, []int64) {
 // their stale connections to the dead process, and raise their transport
 // fencing floor against it (a zombie's pull requests and task frames die
 // at every peer, not just at the coordinator).
-func (s *RemoteSession) broadcastTopology(peers []string, gens []int64) {
+func (c *coordinator) broadcastTopology(peers []string, gens []int64) {
 	payload := encodeCtrl(topologyMsg{Peers: peers, Gens: gens})
-	for i, addr := range peers[:s.cfg.Workers] {
+	for i, addr := range peers[:len(c.slots)] {
 		if addr != "" {
-			_ = s.ctl.Send(i, ctrlTopology, payload)
+			_ = c.ctl.Send(i, ctrlTopology, payload)
 		}
 	}
 }
@@ -460,7 +474,7 @@ func (s *RemoteSession) broadcastTopology(peers []string, gens []int64) {
 // from the job's MANIFEST — the coordinator is its sole owner — newest
 // first, so the rejoining process restores the newest epoch whose local
 // snapshot file verifies and falls back across older commits.
-func (s *RemoteSession) sendJobStart(node int, meta *remoteJobMeta, resume bool) {
+func (c *coordinator) sendJobStart(node int, meta *remoteJobMeta, resume bool) {
 	m := jobStartMsg{
 		Channel:                meta.channel,
 		JobID:                  meta.id,
@@ -468,29 +482,24 @@ func (s *RemoteSession) sendJobStart(node int, meta *remoteJobMeta, resume bool)
 		CheckpointEverySeconds: meta.ckptEvery.Seconds(),
 	}
 	if resume {
-		if man := meta.job.sink.manifestView(); man != nil {
-			epochs := man.epochs()
-			if pin := meta.resumeEpoch.Load(); pin != noEpoch {
-				// Full-session resume: every worker restores the same cut.
-				epochs = []int64{pin}
-			}
-			for _, epoch := range epochs {
-				crcs := man.crcsFor(epoch)
-				if node < len(crcs) {
-					m.Resume = append(m.Resume, resumeEpochRef{Epoch: epoch, CRC: crcs[node]})
-				}
+		// A pinned epoch is a full-session resume: every worker restores
+		// the same cut.
+		pin := meta.resumeEpoch.Load()
+		for _, ref := range meta.job.sink.manifestView().refs(node) {
+			if pin == noEpoch || ref.Epoch == pin {
+				m.Resume = append(m.Resume, ref)
 			}
 		}
 	}
-	_ = s.ctl.Send(node, ctrlJobStart, encodeCtrl(m))
+	_ = c.ctl.Send(node, ctrlJobStart, encodeCtrl(m))
 }
 
 // ctlLoop routes worker → coordinator control traffic: final job results
 // to the owning job's collector, heartbeats to the health registry.
-func (s *RemoteSession) ctlLoop() {
-	defer close(s.ctlDone)
+func (c *coordinator) ctlLoop() {
+	defer close(c.ctlDone)
 	for {
-		msg, ok := s.ctl.Recv()
+		msg, ok := c.ctl.Recv()
 		if !ok {
 			return
 		}
@@ -500,16 +509,16 @@ func (s *RemoteSession) ctlLoop() {
 			if err := decodeCtrl(msg.Payload, &m); err != nil {
 				continue
 			}
-			if s.fence.stale(m.Worker, m.Gen) {
+			if c.fence.stale(m.Worker, m.Gen) {
 				// A fenced-out process shipping a "final" result: its slot
 				// has been reclaimed, and its partial output must not
 				// supersede the replacement's.
-				s.traceFenced(m.Worker, m.Gen, ctrlJobResult)
+				c.traceFenced(m.Worker, m.Gen, ctrlJobResult)
 				continue
 			}
-			s.mu.Lock()
-			meta := s.byCh[m.Channel]
-			s.mu.Unlock()
+			c.mu.Lock()
+			meta := c.byCh[m.Channel]
+			c.mu.Unlock()
 			if meta != nil && meta.job.remote != nil {
 				meta.job.remote.deliver(&m)
 			}
@@ -520,9 +529,9 @@ func (s *RemoteSession) ctlLoop() {
 					continue
 				}
 			}
-			s.mu.Lock()
-			if msg.From >= 0 && msg.From < len(s.slots) {
-				st := &s.slots[msg.From]
+			c.mu.Lock()
+			if msg.From >= 0 && msg.From < len(c.slots) {
+				st := &c.slots[msg.From]
 				switch {
 				case m.Gen == int64(st.generation):
 					st.lastSeen = time.Now()
@@ -534,25 +543,25 @@ func (s *RemoteSession) ctlLoop() {
 					st.joined = true
 					st.draining = m.Draining
 				case m.Gen < int64(st.generation):
-					s.mu.Unlock()
-					s.traceFenced(msg.From, m.Gen, ctrlHeartbeat)
+					c.mu.Unlock()
+					c.traceFenced(msg.From, m.Gen, ctrlHeartbeat)
 					continue
 				}
 			}
-			s.mu.Unlock()
+			c.mu.Unlock()
 		case ctrlDrain:
 			var m drainMsg
 			if err := decodeCtrl(msg.Payload, &m); err != nil {
 				continue
 			}
-			if s.fence.stale(msg.From, m.Gen) {
-				s.traceFenced(msg.From, m.Gen, ctrlDrain)
+			if c.fence.stale(msg.From, m.Gen) {
+				c.traceFenced(msg.From, m.Gen, ctrlDrain)
 				continue
 			}
 			// The barrier wait can span seconds; never block the ctl loop
 			// (checkpoint acks ride the engine channels, but results and
 			// heartbeats ride this one).
-			go s.handleDrain(msg.From, m.Gen)
+			go c.handleDrain(msg.From, m.Gen)
 		}
 	}
 }
@@ -561,18 +570,15 @@ func (s *RemoteSession) ctlLoop() {
 // every live job's tracer (arg = generation << 8 | message type). Called
 // both from the control loop (app-level refusals) and the transport's
 // OnFenced hook (frames dropped before any decoder saw them).
-func (s *RemoteSession) traceFenced(from int, gen int64, typ uint8) {
+func (c *coordinator) traceFenced(from int, gen int64, typ uint8) {
 	key := gen<<8 | int64(typ)
-	if from >= 0 && from < len(s.fencedSeen) && s.fencedSeen[from].Swap(key) != key {
-		s.logf("fenced: dropped message type %d from worker %d generation %d (slot is at %d)",
-			typ, from, gen, s.fence.current(from))
+	if from >= 0 && from < len(c.fencedSeen) && c.fencedSeen[from].Swap(key) != key {
+		c.logf("fenced: dropped message type %d from worker %d generation %d (slot is at %d)",
+			typ, from, gen, c.fence.current(from))
 	}
-	s.mu.Lock()
-	metas := make([]*remoteJobMeta, 0, len(s.byCh))
-	for _, meta := range s.byCh {
-		metas = append(metas, meta)
-	}
-	s.mu.Unlock()
+	c.mu.Lock()
+	metas := c.liveJobsLocked()
+	c.mu.Unlock()
 	for _, meta := range metas {
 		meta.job.cfg.Tracer.Handle(from, trace.CompCheckpoint).Event(trace.EvFenced, uint64(gen)<<8|uint64(typ))
 	}
@@ -584,28 +590,28 @@ func (s *RemoteSession) traceFenced(from int, gen int64, typ uint8) {
 // On timeout (a peer died mid-barrier, checkpointing disabled, ...) the
 // worker is released anyway — it has SIGTERM pending and holding it
 // hostage helps nobody; its jobs recover through the normal rejoin path.
-func (s *RemoteSession) handleDrain(node int, gen int64) {
-	s.mu.Lock()
-	if node >= 0 && node < len(s.slots) && int64(s.slots[node].generation) == gen {
-		s.slots[node].draining = true
+func (c *coordinator) handleDrain(node int, gen int64) {
+	c.mu.Lock()
+	if node >= 0 && node < len(c.slots) && int64(c.slots[node].generation) == gen {
+		c.slots[node].draining = true
 	}
 	type pending struct {
 		meta   *remoteJobMeta
 		before int64
 	}
-	waits := make([]pending, 0, len(s.byCh))
-	for _, meta := range s.byCh {
+	waits := make([]pending, 0, len(c.byCh))
+	for _, meta := range c.byCh {
 		if meta.job.checkpointing() && !meta.job.Done() {
 			waits = append(waits, pending{meta: meta, before: meta.job.committedEpoch()})
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 
-	s.logf("worker %d draining (generation %d): forcing barrier checkpoint on %d job(s)", node, gen, len(waits))
+	c.logf("worker %d draining (generation %d): forcing barrier checkpoint on %d job(s)", node, gen, len(waits))
 	for _, p := range waits {
 		p.meta.job.requestBarrier()
 	}
-	deadline := time.NewTimer(s.rcfg.ResultTimeout)
+	deadline := time.NewTimer(c.rcfg.ResultTimeout)
 	defer deadline.Stop()
 wait:
 	for _, p := range waits {
@@ -620,195 +626,173 @@ wait:
 			case <-j.master.doneCh:
 				continue wait
 			case <-deadline.C:
-				s.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, p.meta.id)
+				c.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, p.meta.id)
 				break wait
 			}
 		}
 	}
-	_ = s.ctl.Send(node, ctrlDrainOK, encodeCtrl(drainMsg{Gen: gen}))
-	s.logf("worker %d released to detach (generation %d)", node, gen)
+	_ = c.ctl.Send(node, ctrlDrainOK, encodeCtrl(drainMsg{Gen: gen}))
+	c.logf("worker %d released to detach (generation %d)", node, gen)
 }
 
 // watchFailures marks worker slots the job's failure detector flagged as
 // lost, so /healthz degrades and the slot becomes claimable by an
 // auto-assigned replacement.
-func (s *RemoteSession) watchFailures(j *Job) {
+func (c *coordinator) watchFailures(j *Job) {
 	for {
 		select {
 		case <-j.master.doneCh:
 			return
 		case i := <-j.failures:
-			s.mu.Lock()
-			if i >= 0 && i < len(s.slots) && time.Since(s.slots[i].lastSeen) > s.rcfg.FailTimeout {
-				s.slots[i].joined = false
-				s.mu.Unlock()
-				s.logf("worker %d lost (silent past %s); awaiting replacement", i, s.rcfg.FailTimeout)
+			c.mu.Lock()
+			if i >= 0 && i < len(c.slots) && time.Since(c.slots[i].lastSeen) > c.rcfg.FailTimeout {
+				c.slots[i].joined = false
+				c.mu.Unlock()
+				c.logf("worker %d lost (silent past %s); awaiting replacement", i, c.rcfg.FailTimeout)
 				continue
 			}
-			s.mu.Unlock()
+			c.mu.Unlock()
 		}
 	}
 }
 
 // WaitReady blocks until every worker slot has joined (or the timeout
-// passes). Launching before ready works — early master traffic queues in
-// the transport — but a serving daemon should gate its HTTP listener on
-// readiness so the first job doesn't pay the join latency.
-func (s *RemoteSession) WaitReady(timeout time.Duration) error {
+// passes); in-process it returns at once. Launching before ready works —
+// early master traffic queues in the transport — but a serving daemon
+// should gate its HTTP listener on readiness so the first job doesn't pay
+// the join latency.
+func (s *Session) WaitReady(timeout time.Duration) error {
+	c := s.coord
+	if c == nil {
+		return nil
+	}
 	select {
-	case <-s.readyCh:
+	case <-c.readyCh:
 		return nil
 	case <-time.After(timeout):
 	}
-	s.mu.Lock()
-	missing := make([]int, 0, len(s.slots))
-	for i := range s.slots {
-		if !s.slots[i].joined {
+	c.mu.Lock()
+	missing := make([]int, 0, len(c.slots))
+	for i := range c.slots {
+		if !c.slots[i].joined {
 			missing = append(missing, i)
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if len(missing) == 0 {
 		return nil
 	}
 	return fmt.Errorf("cluster: workers %v have not joined within %s", missing, timeout)
 }
 
-// Ready reports whether every worker slot is currently joined.
-func (s *RemoteSession) Ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.slots {
-		if !s.slots[i].joined {
-			return false
-		}
+// Ready reports whether every worker slot is currently joined (always
+// true in-process, where workers are goroutines).
+func (s *Session) Ready() bool {
+	c := s.coord
+	if c == nil {
+		return true
 	}
-	return true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.allJoinedLocked()
 }
 
-// WorkerHealth returns the per-slot join/liveness view for /healthz.
-func (s *RemoteSession) WorkerHealth() []WorkerStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]WorkerStatus, len(s.slots))
-	for i := range s.slots {
+// WorkerHealth returns the per-slot join/liveness view for /healthz (nil
+// in-process: its workers are alive iff the process is).
+func (s *Session) WorkerHealth() []WorkerStatus {
+	c := s.coord
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]WorkerStatus, len(c.slots))
+	for i := range c.slots {
 		out[i] = WorkerStatus{
 			Node:       i,
-			Joined:     s.slots[i].joined,
-			Addr:       s.slots[i].addr,
-			LastSeen:   s.slots[i].lastSeen,
-			Generation: s.slots[i].generation,
-			Draining:   s.slots[i].draining,
+			Joined:     c.slots[i].joined,
+			Addr:       c.slots[i].addr,
+			LastSeen:   c.slots[i].lastSeen,
+			Generation: c.slots[i].generation,
+			Draining:   c.slots[i].draining,
 		}
 	}
 	return out
 }
 
-// Launch starts one mining job across the worker processes and returns its
-// handle; the same contract as Session.Launch, plus the requirement that
-// opt.Spec names the workload (worker processes rebuild the algorithm from
-// the spec — a core.Algorithm value cannot cross a process boundary).
-func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
+// admit is Launch's first coordinator step: it requires opt.Spec (worker
+// processes rebuild the algorithm from the spec — a core.Algorithm value
+// cannot cross a process boundary) and refuses a memory budget.
+func (c *coordinator) admit(opt JobOptions) error {
 	if opt.Spec == nil {
-		return nil, fmt.Errorf("cluster: remote launch requires JobOptions.Spec (worker processes rebuild the algorithm from it)")
+		return fmt.Errorf("cluster: remote launch requires JobOptions.Spec (worker processes rebuild the algorithm from it)")
 	}
 	if opt.MemBudgetBytes > 0 {
-		return nil, fmt.Errorf("%w (job asked for MemBudgetBytes=%d)", errRemoteMemBudget, opt.MemBudgetBytes)
+		return fmt.Errorf("%w (job asked for MemBudgetBytes=%d)", errRemoteMemBudget, opt.MemBudgetBytes)
 	}
-	id, ch, err := s.jobs.reserve(opt.ID)
-	if err != nil {
-		return nil, err
-	}
-	// A job whose ID matches a JOBSPEC+MANIFEST found at a `-resume` start
-	// restores from its committed epochs instead of starting fresh.
-	s.mu.Lock()
-	_, resumeJob := s.resumable[id]
-	delete(s.resumable, id)
-	s.mu.Unlock()
+	return nil
+}
 
-	cfg := s.cfg
-	cfg.JobID = id
-	cfg.Tracer = opt.Tracer
-	cfg.RoundHook = opt.RoundHook
-	cfg.FailTimeout = s.rcfg.FailTimeout
-	cfg.Resume = resumeJob
-	if opt.CheckpointEvery > 0 {
-		cfg.CheckpointEvery = opt.CheckpointEvery
-	}
-	if cfg.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
-	}
+// prepare adapts a job's config and launch environment to workers in
+// other processes: the coordinator's failure timeout, resume by ID (a job
+// whose ID matches a JOBSPEC+MANIFEST found at a `-resume` start restores
+// from its committed epochs), the result collector, the fencing ledger
+// and a release that also stops the job on every worker process.
+func (c *coordinator) prepare(id string, cfg *Config, env *launchEnv) {
+	c.mu.Lock()
+	_, resume := c.resumable[id]
+	delete(c.resumable, id)
+	c.mu.Unlock()
+	cfg.FailTimeout = c.rcfg.FailTimeout
+	cfg.Resume = resume
+	env.fence = c.fence
+	env.remote = newRemoteJobState(cfg.Workers, c.rcfg.ResultTimeout, c.fence)
 
-	counters := newCounters(cfg.Workers + 1)
-	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
-	if err != nil {
-		s.forget(id, ch)
-		return nil, err
+	ch, dir, release := env.channel, cfg.CheckpointDir, env.release
+	env.release = func() {
+		// Backstop: workers normally stop on the master's msgStop
+		// broadcast; tell them explicitly too, in case the engine frame was
+		// dropped on a severed connection.
+		j := c.s.jobs.get(id)
+		c.mu.Lock()
+		joined := c.joinedLocked()
+		c.mu.Unlock()
+		stop := encodeCtrl(jobStopMsg{Channel: ch})
+		for _, i := range joined {
+			_ = c.ctl.Send(i, ctrlJobStop, stop)
+		}
+		// The durable JOBSPEC outlives a coordinator shutdown (so `-resume`
+		// can rebuild the job) but not a normal completion or user cancel.
+		if dir != "" && (j == nil || !errors.Is(j.Err(), errCoordinatorShutdown)) {
+			_ = os.Remove(filepath.Join(dir, jobspecName))
+		}
+		release()
+		c.mu.Lock()
+		delete(c.byCh, ch)
+		c.mu.Unlock()
 	}
+}
 
-	env := &launchEnv{
-		assign:        s.assign,
-		partitionTime: s.partitionTime,
-		endpoints:     eps,
-		counters:      counters,
-		mux:           s.mux,
-		channel:       ch,
-		fence:         s.fence,
-		remote:        remoteStateWithFence(cfg.Workers, s.rcfg.ResultTimeout, s.fence),
-		release: func() {
-			// Backstop: workers normally stop on the master's msgStop
-			// broadcast; tell them explicitly too, in case the engine frame
-			// was dropped on a severed connection.
-			j := s.jobs.get(id)
-			s.mu.Lock()
-			joined := make([]int, 0, cfg.Workers)
-			for i := range s.slots {
-				if s.slots[i].joined {
-					joined = append(joined, i)
-				}
-			}
-			s.mu.Unlock()
-			stop := encodeCtrl(jobStopMsg{Channel: ch})
-			for _, i := range joined {
-				_ = s.ctl.Send(i, ctrlJobStop, stop)
-			}
-			// The durable JOBSPEC outlives a coordinator shutdown (so
-			// `-resume` can rebuild the job) but not a normal completion or
-			// user cancel.
-			if cfg.CheckpointDir != "" && (j == nil || !errors.Is(j.Err(), errCoordinatorShutdown)) {
-				_ = os.Remove(filepath.Join(cfg.CheckpointDir, jobspecName))
-			}
-			s.mux.CloseChannel(ch)
-			s.forget(id, ch)
-		},
-	}
-	j, err := startJob(s.g, a, cfg, env)
-	if err != nil {
-		s.mux.CloseChannel(ch)
-		s.forget(id, ch)
-		return nil, err
-	}
-	meta := &remoteJobMeta{channel: ch, id: id, spec: *opt.Spec, ckptEvery: cfg.CheckpointEvery, job: j}
+// started is Launch's last coordinator step: persist the JOBSPEC, register
+// the job for control traffic, and start it on every joined worker
+// process — all from one committed cut when it resumes.
+func (c *coordinator) started(j *Job, spec jobspec.Spec) {
+	id, cfg, resume := j.cfg.JobID, j.cfg, j.cfg.Resume
+	meta := &remoteJobMeta{channel: j.channel, id: id, spec: spec, ckptEvery: cfg.CheckpointEvery, job: j}
 	meta.resumeEpoch.Store(noEpoch)
 	if cfg.CheckpointDir != "" {
 		// Persist the spec next to the MANIFEST so a restarted coordinator
 		// can rebuild and resume this job.
-		b, _ := json.Marshal(jobspecFile{ID: id, Spec: *opt.Spec, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
+		b, _ := json.Marshal(jobspecFile{ID: id, Spec: spec, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
 		if err := writeFileDurable(filepath.Join(cfg.CheckpointDir, jobspecName), b); err != nil {
-			s.logf("job %s: persisting JOBSPEC failed: %v (job runs; coordinator resume will not cover it)", id, err)
+			c.logf("job %s: persisting JOBSPEC failed: %v (job runs; coordinator resume will not cover it)", id, err)
 		}
 	}
 
-	s.jobs.set(id, j)
-	s.mu.Lock()
-	s.byCh[ch] = meta
-	joined := make([]int, 0, cfg.Workers)
-	for i := range s.slots {
-		if s.slots[i].joined {
-			joined = append(joined, i)
-		}
-	}
-	if resumeJob {
+	c.mu.Lock()
+	c.byCh[j.channel] = meta
+	joined := c.joinedLocked()
+	if resume {
 		// Pin the initial resume refs to the highest committed epoch every
 		// joined worker claims to hold, so the whole cluster restores one
 		// consistent cut (falling back to the manifest head if the held
@@ -817,8 +801,8 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 			pin := man.Epoch
 			for _, epoch := range man.epochs() {
 				all := true
-				for i := range s.slots {
-					if !s.slots[i].joined || !s.slots[i].held[id][epoch] {
+				for i := range c.slots {
+					if !c.slots[i].joined || !c.slots[i].held[id][epoch] {
 						all = false
 						break
 					}
@@ -831,83 +815,40 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 			meta.resumeEpoch.Store(pin)
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 
-	go s.watchFailures(j)
+	go c.watchFailures(j)
 	for _, i := range joined {
-		s.sendJobStart(i, meta, resumeJob)
+		c.sendJobStart(i, meta, resume)
 	}
-	if resumeJob {
+	if resume {
 		meta.resumeEpoch.Store(noEpoch)
-		s.logf("job %s resumed from committed checkpoint (%d worker(s) started)", id, len(joined))
+		c.logf("job %s resumed from committed checkpoint (%d worker(s) started)", id, len(joined))
 	}
-	return j, nil
 }
 
-func (s *RemoteSession) forget(id string, ch uint64) {
-	s.jobs.forget(id)
-	s.mu.Lock()
-	delete(s.byCh, ch)
-	s.mu.Unlock()
+// Addr is the coordinator's cluster address (what workers dial to join);
+// empty in-process.
+func (s *Session) Addr() string {
+	if s.coord == nil {
+		return ""
+	}
+	return s.coord.net.Addr()
 }
-
-// ActiveJobs returns the number of jobs launched and not yet torn down.
-func (s *RemoteSession) ActiveJobs() int { return s.jobs.active() }
-
-// Graph returns the resident graph.
-func (s *RemoteSession) Graph() *graph.Graph { return s.g }
-
-// Config returns the session's template config (with defaults applied).
-func (s *RemoteSession) Config() Config { return s.cfg }
-
-// PartitionTime is the coordinator's one-time static partitioning cost.
-func (s *RemoteSession) PartitionTime() time.Duration { return s.partitionTime }
-
-// EdgeCut is the partitioning edge-cut fraction of the resident assignment.
-func (s *RemoteSession) EdgeCut() float64 { return s.assign.EdgeCut(s.g) }
-
-// Fingerprint identifies the resident graph plus the session topology;
-// worker processes must present the same one to join.
-func (s *RemoteSession) Fingerprint() uint64 { return s.fingerprint }
-
-// GraphEpoch is always 0: a multi-process cluster's resident graph is
-// immutable (worker processes each hold their own copy; the dynamic
-// mutation path is in-process-session only).
-func (s *RemoteSession) GraphEpoch() int64 { return 0 }
-
-// WithGraphRead runs fn directly: with no mutation path, the resident
-// graph is always safe to read.
-func (s *RemoteSession) WithGraphRead(fn func()) { fn() }
-
-// Addr is the coordinator's cluster address (what workers dial to join).
-func (s *RemoteSession) Addr() string { return s.net.Addr() }
-
-// DroppedMessages counts stale mux traffic plus frames abandoned because a
-// worker process stayed unreachable past the redial budget.
-func (s *RemoteSession) DroppedMessages() int64 { return s.mux.Dropped() + s.net.Dropped() }
 
 // FencedFrames counts inbound frames the coordinator's transport refused
 // because their sender's generation had been fenced out — a zombie
-// predecessor provably cut off, not split-braining the cluster.
-func (s *RemoteSession) FencedFrames() int64 { return s.net.Fenced() }
-
-// Close cancels any running jobs, waits for their teardown, and shuts the
-// cluster transport down. Worker processes see their connections die and
-// exit on their own schedule. The cancellation is attributed to
-// coordinator shutdown, which keeps each job's durable JOBSPEC on disk: a
-// restarted coordinator with `-resume` rebuilds and resumes those jobs.
-func (s *RemoteSession) Close() {
-	if !s.jobs.close(func(j *Job) { j.CancelCause(errCoordinatorShutdown) }) {
-		return
+// predecessor provably cut off, not split-braining the cluster. Always 0
+// in-process.
+func (s *Session) FencedFrames() int64 {
+	if s.coord == nil {
+		return 0
 	}
-	s.mux.Close()
-	s.net.Close()
-	s.mux.WaitDemux()
-	<-s.ctlDone
+	return s.coord.net.Fenced()
 }
 
-func (s *RemoteSession) logf(format string, args ...any) {
-	if s.rcfg.Logf != nil {
-		s.rcfg.Logf(format, args...)
+func (c *coordinator) logf(format string, args ...any) {
+	if c.rcfg.Logf != nil {
+		c.rcfg.Logf(format, args...)
 	}
 }

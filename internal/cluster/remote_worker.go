@@ -400,11 +400,8 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		return
 	}
 	if kc, ok := algo.(core.KernelConfigurable); ok {
-		if spec.Generic || wp.cfg.DisablePlans {
-			kc.ConfigureKernels(nil, true)
-		} else {
-			kc.ConfigureKernels(wp.csrIndex(), false)
-		}
+		// jobspec.Build copied spec.Generic into the algorithm.
+		kc.ConfigureKernels(wp.csrIndex(), false)
 	}
 
 	cfg := wp.cfg
@@ -435,30 +432,22 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	}
 
 	// Restore from the newest committed epoch whose local file verifies
-	// against the coordinator's commit-time checksum; fall back across
-	// older commits, then to a fresh start (safe: un-checkpointed results
-	// died with the old process).
-	var w *Worker
-	for _, ref := range m.Resume {
-		snap, err := sink.loadWith(wp.node, ref.Epoch, ref.CRC)
-		if err == nil {
-			w, err = newWorker(wp.node, cfg, algo, wp.g, wp.assign, wp.local, eps[wp.node], counters, sink, snap)
-		}
-		if err != nil {
-			wp.logf("job %s: epoch %d restore failed (%v); falling back", m.JobID, ref.Epoch, err)
-			w = nil
-			continue
-		}
-		wp.logf("job %s: restored from committed epoch %d", m.JobID, ref.Epoch)
-		break
+	// against the coordinator's commit-time checksum, falling back across
+	// older commits, then to a fresh start.
+	w, epoch, err := restoreOrFresh(sink, wp.node, m.Resume,
+		func(snap *workerSnapshot) (*Worker, error) {
+			return newWorker(wp.node, cfg, algo, wp.g, wp.assign, wp.local, eps[wp.node], counters, sink, snap)
+		},
+		func(epoch int64, err error) {
+			wp.logf("job %s: epoch %d restore failed (%v); falling back", m.JobID, epoch, err)
+		})
+	if err != nil {
+		wp.logf("job %s: worker build: %v", m.JobID, err)
+		wp.mux.CloseChannel(m.Channel)
+		return
 	}
-	if w == nil {
-		w, err = newWorker(wp.node, cfg, algo, wp.g, wp.assign, wp.local, eps[wp.node], counters, sink, nil)
-		if err != nil {
-			wp.logf("job %s: worker build: %v", m.JobID, err)
-			wp.mux.CloseChannel(m.Channel)
-			return
-		}
+	if epoch != noEpoch {
+		wp.logf("job %s: restored from committed epoch %d", m.JobID, epoch)
 	}
 
 	wj := &workerJob{channel: m.Channel, id: m.JobID, w: w, counters: counters}

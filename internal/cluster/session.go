@@ -30,19 +30,25 @@ import (
 // tasks (§4.1–4.2), so concurrent jobs never share mutable state: each
 // gets its own mux channel (job-scoped wire envelope), store, cache,
 // counters, checkpoints and tracer.
+//
+// A session built by NewRemoteSession is the coordinator of a
+// multi-process cluster: the same job surface, with the K engine workers
+// living in other OS processes (see coordinator).
 type Session struct {
 	g      *graph.Graph
 	cfg    Config
 	assign *partition.Assignment
+	// locals and csr are nil on a coordinator: its workers build their own.
 	locals []*localTable
 	// csr is the degree-ranked adjacency index compiled execution plans run
 	// on, built once at session start (like the partition and the vertex
-	// tables) and shared read-only by every job. Nil when the session
-	// config disables plans. On a dynamic session it is rebuilt lazily:
-	// the first Launch after a mutation epoch pays for it.
+	// tables) and shared read-only by every job. On a dynamic session it is
+	// rebuilt lazily: the first Launch after a mutation epoch pays for it.
 	csr *kernels.CSR
 
-	net *transport.LocalNetwork
+	// net is the transport under mux: the in-process LocalNetwork, or the
+	// coordinator's TCP RemoteNetwork.
+	net interface{ Close() }
 	mux *transport.Mux
 
 	partitionTime time.Duration
@@ -57,7 +63,7 @@ type Session struct {
 	epochMu  sync.RWMutex
 	dyn      *dyngraph.State
 	epoch    atomic.Int64
-	mu       sync.Mutex // guards csr and csrEpoch
+	mu       sync.Mutex // guards csr and csrEpoch on a dynamic session
 	csrEpoch int64      // epoch s.csr was built at
 
 	jobs jobRegistry
@@ -66,6 +72,9 @@ type Session struct {
 	// single-shot layout (no per-job subdirectory, empty JobID), and the
 	// session shuts down at the end of the job's Wait.
 	oneJob bool
+
+	// coord is what only a multi-process coordinator holds; nil in-process.
+	coord *coordinator
 }
 
 // NewSession partitions the frozen graph once and brings the shared
@@ -87,56 +96,61 @@ func newSession(g *graph.Graph, cfg Config, oneJob bool) (*Session, error) {
 		return nil, fmt.Errorf("cluster: session graph must be frozen")
 	}
 	s := &Session{g: g, cfg: cfg, oneJob: oneJob}
-
-	pStart := time.Now()
-	var assign *partition.Assignment
-	if cfg.Dynamic {
-		blocked, ok := cfg.Partitioner.(partition.Blocked)
-		if !ok {
-			return nil, fmt.Errorf("cluster: dynamic sessions require the blocked partitioner, not %q", cfg.Partitioner.Name())
-		}
-		st, err := dyngraph.NewState(g, cfg.Workers, blocked.Shift)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: session partition: %w", err)
-		}
-		s.dyn = st
-		assign = st.Assignment()
-	} else {
-		a, err := cfg.Partitioner.Partition(g, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: session partition: %w", err)
-		}
-		assign = a
+	if err := s.partition(); err != nil {
+		return nil, err
 	}
-	s.partitionTime = time.Since(pStart)
-	s.assign = assign
 
 	s.locals = make([]*localTable, cfg.Workers)
 	for i := range s.locals {
-		s.locals[i] = buildLocalTable(g, assign, i)
+		s.locals[i] = buildLocalTable(g, s.assign, i)
 	}
 
-	if !cfg.DisablePlans {
-		csr, err := kernels.Build(g)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: session CSR index: %w", err)
-		}
-		s.csr = csr
+	csr, err := kernels.Build(g)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: session CSR index: %w", err)
 	}
+	s.csr = csr
 
 	nodes := cfg.Workers + 1
 	// Per-job byte accounting happens at the mux endpoints.
-	s.net = transport.NewLocal(transport.LocalConfig{
+	net := transport.NewLocal(transport.LocalConfig{
 		Nodes:        nodes,
 		Latency:      cfg.Latency,
 		BandwidthBps: cfg.BandwidthBps,
 	})
 	under := make([]transport.Endpoint, nodes)
 	for i := range under {
-		under[i] = s.net.Endpoint(i)
+		under[i] = net.Endpoint(i)
 	}
+	s.net = net
 	s.mux = transport.NewMux(under)
 	return s, nil
+}
+
+// partition computes the session's resident assignment once and times
+// it. A dynamic session keeps the block state mutations re-place.
+func (s *Session) partition() error {
+	start := time.Now()
+	if s.cfg.Dynamic {
+		blocked, ok := s.cfg.Partitioner.(partition.Blocked)
+		if !ok {
+			return fmt.Errorf("cluster: dynamic sessions require the blocked partitioner, not %q", s.cfg.Partitioner.Name())
+		}
+		st, err := dyngraph.NewState(s.g, s.cfg.Workers, blocked.Shift)
+		if err != nil {
+			return fmt.Errorf("cluster: session partition: %w", err)
+		}
+		s.dyn = st
+		s.assign = st.Assignment()
+	} else {
+		a, err := s.cfg.Partitioner.Partition(s.g, s.cfg.Workers)
+		if err != nil {
+			return fmt.Errorf("cluster: session partition: %w", err)
+		}
+		s.assign = a
+	}
+	s.partitionTime = time.Since(start)
+	return nil
 }
 
 // JobOptions are the per-job knobs of Session.Launch.
@@ -150,8 +164,8 @@ type JobOptions struct {
 	Tracer *trace.Tracer
 	// MemBudgetBytes bounds the job-owned memory (task store + RCV cache
 	// summed over workers). 0 means unlimited. Exceeding it cancels the
-	// job with an error wrapping memctl.ErrOOM. A RemoteSession refuses a
-	// nonzero budget: it could not enforce it across processes.
+	// job with an error wrapping memctl.ErrOOM. A coordinator session
+	// refuses a nonzero budget: it could not enforce it across processes.
 	MemBudgetBytes int64
 	// CheckpointEvery overrides the template's checkpoint interval for
 	// this job; 0 inherits it.
@@ -161,10 +175,10 @@ type JobOptions struct {
 	// enforcement point: budget and deadline checks run here so a job is
 	// only ever stopped at a round boundary.
 	RoundHook func(round int64)
-	// Spec is the job's normalized workload spec. A RemoteSession requires
-	// it — worker processes rebuild the algorithm from the spec, since
-	// core.Algorithm values cannot cross a process boundary. A local
-	// Session ignores it.
+	// Spec is the job's normalized workload spec. A coordinator session
+	// requires it — worker processes rebuild the algorithm from the spec,
+	// since core.Algorithm values cannot cross a process boundary. An
+	// in-process Session ignores it.
 	Spec *jobspec.Spec
 }
 
@@ -173,6 +187,11 @@ type JobOptions struct {
 // job's mux channel) and may Cancel it at any time without disturbing
 // co-resident jobs.
 func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
+	if s.coord != nil {
+		if err := s.coord.admit(opt); err != nil {
+			return nil, err
+		}
+	}
 	// Take the job's graph-epoch read lease first: from here until the end
 	// of the job's Wait teardown the resident graph cannot mutate under
 	// it. On a static session the lock is never contended.
@@ -198,11 +217,6 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	cfg.GraphEpoch = s.epoch.Load()
 	cfg.Tracer = opt.Tracer
 	cfg.RoundHook = opt.RoundHook
-	if opt.Spec != nil && opt.Spec.Generic {
-		// Spec-requested differential baseline: this job runs generic even
-		// though the session holds a warm CSR index.
-		cfg.DisablePlans = true
-	}
 	if opt.MemBudgetBytes > 0 {
 		cfg.MemBudget = memctl.NewBudget(opt.MemBudgetBytes)
 	}
@@ -222,17 +236,10 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 		}
 	}
 
-	counters := newCounters(cfg.Workers + 1)
-	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
-	if err != nil {
-		return abort(err)
-	}
-	j, err := startJob(s.g, a, cfg, &launchEnv{
+	env := &launchEnv{
 		assign:        s.assign,
 		partitionTime: s.partitionTime,
 		locals:        s.locals,
-		endpoints:     eps,
-		counters:      counters,
 		mux:           s.mux,
 		channel:       ch,
 		csr:           csr,
@@ -241,9 +248,22 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 			s.jobs.forget(id)
 		},
 		retire: retire,
-	})
+	}
+	if s.coord != nil {
+		s.coord.prepare(id, &cfg, env)
+	}
+
+	env.counters = newCounters(cfg.Workers + 1)
+	env.endpoints, err = s.mux.Open(ch, env.counters, cfg.Tracer)
 	if err != nil {
 		return abort(err)
+	}
+	j, err := startJob(s.g, a, cfg, env)
+	if err != nil {
+		return abort(err)
+	}
+	if s.coord != nil {
+		s.coord.started(j, *opt.Spec)
 	}
 	s.jobs.set(id, j)
 	return j, nil
@@ -284,11 +304,13 @@ func (s *Session) Fingerprint() uint64 {
 	return jobFingerprint(s.g, "session", cfg)
 }
 
-// Dynamic reports whether the session accepts mutations.
+// Dynamic reports whether the session accepts mutations (never on a
+// coordinator).
 func (s *Session) Dynamic() bool { return s.dyn != nil }
 
 // GraphEpoch returns the current graph epoch (0 = the loaded snapshot;
-// always 0 on a static session). Lock-free, safe from any goroutine.
+// always 0 on a static session or a coordinator). Lock-free, safe from
+// any goroutine.
 func (s *Session) GraphEpoch() int64 { return s.epoch.Load() }
 
 // WithGraphRead runs fn while holding a graph-epoch read lease: the
@@ -306,14 +328,11 @@ func (s *Session) WithGraphRead(fn func()) {
 // if mutations landed since it was last compiled. Callers hold the
 // epoch read lease, so the epoch cannot advance during the rebuild.
 func (s *Session) ensureCSR() (*kernels.CSR, error) {
-	if s.cfg.DisablePlans {
-		return nil, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.dyn == nil {
 		return s.csr, nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if ep := s.epoch.Load(); s.csr == nil || s.csrEpoch != ep {
 		csr, err := kernels.Build(s.g)
 		if err != nil {
@@ -385,23 +404,41 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 }
 
 // DroppedMessages counts stale wire messages the mux discarded (traffic
-// addressed to already-torn-down jobs).
-func (s *Session) DroppedMessages() int64 { return s.mux.Dropped() }
+// addressed to already-torn-down jobs), plus, on a coordinator, frames
+// abandoned because a worker process stayed unreachable past the redial
+// budget.
+func (s *Session) DroppedMessages() int64 {
+	if s.coord != nil {
+		return s.mux.Dropped() + s.coord.net.Dropped()
+	}
+	return s.mux.Dropped()
+}
 
 // Close cancels any jobs still running, waits for their teardown, and
 // shuts the shared transport down. The session refuses Launches from the
-// moment Close begins.
+// moment Close begins. A coordinator attributes the cancellation to its
+// shutdown, which keeps each job's durable JOBSPEC on disk for a
+// `-resume` restart; its worker processes see their connections die and
+// exit on their own schedule.
 func (s *Session) Close() {
-	if s.jobs.close(func(j *Job) { j.Cancel() }) {
+	var cause error
+	if s.coord != nil {
+		cause = errCoordinatorShutdown
+	}
+	if s.jobs.close(func(j *Job) { j.CancelCause(cause) }) {
 		s.shutdown()
 	}
 }
 
-// shutdown closes the shared transport and waits for its demux goroutines.
+// shutdown closes the shared transport and waits for its demux goroutines
+// (and a coordinator's control loop).
 func (s *Session) shutdown() {
 	s.mux.Close()
 	s.net.Close()
 	s.mux.WaitDemux()
+	if s.coord != nil {
+		<-s.coord.ctlDone
+	}
 }
 
 // newCounters allocates one metrics sink per node.
@@ -415,8 +452,8 @@ func newCounters(nodes int) []*metrics.Counters {
 
 var errSessionClosed = errors.New("cluster: session closed")
 
-// jobRegistry is the job table Session and RemoteSession share: live jobs
-// by ID, mux-channel allocation and the closed flag.
+// jobRegistry is a session's job table: live jobs by ID, mux-channel
+// allocation and the closed flag.
 type jobRegistry struct {
 	mu     sync.Mutex
 	jobs   map[string]*Job

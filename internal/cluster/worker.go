@@ -113,11 +113,9 @@ type Worker struct {
 	stealBackoff atomic.Int32
 
 	// pullServe feeds the pull-serve worker pool: the comm loop enqueues
-	// incoming pull requests and PullServeWorkers goroutines encode and
+	// incoming pull requests and pullServeWorkers goroutines encode and
 	// send the responses, so one expensive neighborhood read cannot
-	// head-of-line-block every other requester. Nil when
-	// PullServeWorkers <= 1 (requests are served inline, the paper's
-	// single request listener).
+	// head-of-line-block every other requester.
 	pullServe chan pullWork
 
 	// pauseMu pauses the seeder and the retriever for a checkpoint, which
@@ -222,7 +220,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, g *graph.Graph,
 	w.trCkpt = cfg.Tracer.Handle(id, trace.CompCheckpoint)
 	w.stealPolicy = cfg.StealPolicy
 	if w.stealPolicy == nil {
-		w.stealPolicy = CostPolicy{Tc: cfg.StealCostMax, Tr: cfg.StealLocalityMax}
+		w.stealPolicy = CostPolicy{Tc: stealCostMax, Tr: stealLocalityMax}
 	}
 	if ap, ok := algo.(core.AggregatorProvider); ok {
 		w.agg = ap.Aggregator()
@@ -264,7 +262,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, g *graph.Graph,
 	w.cache = cache.NewSharded(cfg.CacheCapacity, cfg.CacheShards, counters)
 	w.cache.SetTrace(cfg.Tracer.Handle(id, trace.CompCache))
 	w.cpq = newTaskQueue()
-	w.buffer = newTaskBuffer(cfg.BufferFlush)
+	w.buffer = newTaskBuffer(bufferFlush)
 
 	// Task IDs: high byte is the origin worker for global uniqueness.
 	w.nextTaskID.Store(uint64(id) << 48)
@@ -288,11 +286,9 @@ func (w *Worker) start() {
 	for i := 0; i < w.cfg.Threads; i++ {
 		loops = append(loops, w.executorLoop)
 	}
-	if w.cfg.PullServeWorkers > 1 {
-		w.pullServe = make(chan pullWork, 4*w.cfg.PullServeWorkers)
-		for i := 0; i < w.cfg.PullServeWorkers; i++ {
-			loops = append(loops, w.pullServeLoop)
-		}
+	w.pullServe = make(chan pullWork, 4*pullServeWorkers)
+	for i := 0; i < pullServeWorkers; i++ {
+		loops = append(loops, w.pullServeLoop)
 	}
 	w.wg.Add(len(loops))
 	for _, loop := range loops {
@@ -503,7 +499,7 @@ func (w *Worker) dispatch(t *core.Task) {
 		return
 	}
 	w.pendingTasks++
-	flush := w.pullCount >= w.cfg.BufferFlush
+	flush := w.pullCount >= bufferFlush
 	// pt is visible to handlePullResp once pendMu drops; read remaining now.
 	parked := pt.remaining
 	w.pendMu.Unlock()
@@ -601,16 +597,17 @@ func (w *Worker) handlePullResp(payload []byte) {
 }
 
 // retryDelay is the wait before retry number `attempts` of a pull:
-// exponential from PullRetryBase, capped at PullRetryMax, with ±25%
-// jitter so a lost batch does not retry as one synchronized burst.
+// exponential from PullRetryBase, capped at pullRetryMaxFactor times it,
+// with ±25% jitter so a lost batch does not retry as one synchronized
+// burst.
 // Caller holds pendMu (the RNG is not otherwise synchronized).
 func (w *Worker) retryDelay(attempts int) time.Duration {
-	d := w.cfg.PullRetryBase
-	for i := 0; i < attempts && d < w.cfg.PullRetryMax; i++ {
+	d, max := w.cfg.PullRetryBase, pullRetryMaxFactor*w.cfg.PullRetryBase
+	for i := 0; i < attempts && d < max; i++ {
 		d *= 2
 	}
-	if d > w.cfg.PullRetryMax {
-		d = w.cfg.PullRetryMax
+	if d > max {
+		d = max
 	}
 	if half := int64(d) / 2; half > 0 {
 		d = d*3/4 + time.Duration(w.retryRng.Int63n(half))
@@ -770,14 +767,10 @@ func (w *Worker) commLoop() {
 		}
 		switch m.Type {
 		case msgPullReq:
-			if w.pullServe != nil {
-				select {
-				case w.pullServe <- pullWork{from: m.From, payload: m.Payload}:
-				case <-w.stopCh:
-					return
-				}
-			} else {
-				w.servePull(m.From, m.Payload)
+			select {
+			case w.pullServe <- pullWork{from: m.From, payload: m.Payload}:
+			case <-w.stopCh:
+				return
 			}
 		case msgPullResp:
 			w.handlePullResp(m.Payload)

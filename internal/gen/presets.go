@@ -43,6 +43,36 @@ func NonAttributed() []Preset {
 // Scale multiplies preset sizes; 1.0 is the default laptop-scale setting.
 // Tests use smaller scales via Build's scale parameter.
 
+// Load reads the graph the binaries' -graph, -format, -preset and -scale
+// flags name: a file in adjacency-list ("adj") or SNAP edge-list
+// ("edges") format, else the preset built at the scale.
+func Load(path, format, preset string, scale float64) (*graph.Graph, error) {
+	switch {
+	case path != "":
+		switch format {
+		case "adj":
+			return graph.LoadFile(path)
+		case "edges":
+			return graph.LoadEdgeListFile(path)
+		default:
+			return nil, fmt.Errorf("unknown format %q (want adj or edges)", format)
+		}
+	case preset != "":
+		return Build(Preset(preset), scale)
+	default:
+		return nil, fmt.Errorf("need -graph or -preset")
+	}
+}
+
+// SourceName names a Load source in stats lines: the file, else the
+// preset.
+func SourceName(path, preset string) string {
+	if path != "" {
+		return path
+	}
+	return preset
+}
+
 // Build generates the preset dataset at the given scale in (0, 1].
 // Generation is deterministic for a given (preset, scale).
 func Build(p Preset, scale float64) (*graph.Graph, error) {

@@ -17,6 +17,22 @@ import (
 	"gminer/internal/lsh"
 )
 
+// ByName returns the partitioner the binaries' -partitioner flag names:
+// bdg, hash, skewed (bias 0.6) or blocked.
+func ByName(name string) (Partitioner, error) {
+	switch name {
+	case "bdg":
+		return BDG{}, nil
+	case "hash":
+		return Hash{}, nil
+	case "skewed":
+		return Skewed{Bias: 0.6}, nil
+	case "blocked":
+		return Blocked{}, nil
+	}
+	return nil, fmt.Errorf("unknown partitioner %q", name)
+}
+
 // Assignment maps every vertex to its owning worker in [0, K).
 //
 // Two representations back it: a per-vertex owner map (Hash, Skewed, BDG)

@@ -176,3 +176,29 @@ func TestQuickAssignmentsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestByName covers every partitioner name the binaries' -partitioner
+// flag documents, and refuses an unknown one with the message the
+// binaries print.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want partition.Partitioner
+	}{
+		{"bdg", partition.BDG{}},
+		{"hash", partition.Hash{}},
+		{"skewed", partition.Skewed{Bias: 0.6}},
+		{"blocked", partition.Blocked{}},
+	} {
+		p, err := partition.ByName(tc.name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", tc.name, err)
+		}
+		if p != tc.want {
+			t.Fatalf("ByName(%q) = %#v, want %#v", tc.name, p, tc.want)
+		}
+	}
+	if p, err := partition.ByName("metis"); err == nil || err.Error() != `unknown partitioner "metis"` {
+		t.Fatalf("ByName(metis) = %v, %v; want the unknown-partitioner error", p, err)
+	}
+}

@@ -67,10 +67,10 @@ func TestDifferentialTC(t *testing.T) {
 			var baseline []string
 			for _, generic := range []bool{true, false} {
 				tc := algo.NewTriangleCount()
+				tc.Generic = generic
 				res, err := cluster.Run(g, tc, cluster.Config{
-					Workers:      workers,
-					Threads:      2,
-					DisablePlans: generic,
+					Workers: workers,
+					Threads: 2,
 				})
 				if err != nil {
 					t.Fatalf("%s w=%d generic=%v: %v", gname, workers, generic, err)
@@ -110,10 +110,10 @@ func TestDifferentialGM(t *testing.T) {
 				var baselineAgg int64
 				for _, generic := range []bool{true, false} {
 					gm := algo.NewGraphMatch(p)
+					gm.Generic = generic
 					res, err := cluster.Run(g, gm, cluster.Config{
-						Workers:      workers,
-						Threads:      2,
-						DisablePlans: generic,
+						Workers: workers,
+						Threads: 2,
 					})
 					if err != nil {
 						t.Fatalf("%s/%s w=%d generic=%v: %v", gname, pname, workers, generic, err)
@@ -145,8 +145,8 @@ func TestDifferentialGM(t *testing.T) {
 }
 
 // TestDifferentialSessionLaunch pins the serving path: a session-launched
-// job with Spec.Generic toggled produces identical results, exercising
-// the Session-held CSR and the Spec→DisablePlans mapping.
+// job built from a spec with Generic toggled produces identical results,
+// exercising the Session-held CSR and jobspec.Build's Spec.Generic copy.
 func TestDifferentialSessionLaunch(t *testing.T) {
 	g := gen.ErdosRenyi(120, 700, 5)
 	gen.AssignLabels(g, 4, 105)
@@ -160,7 +160,11 @@ func TestDifferentialSessionLaunch(t *testing.T) {
 
 	run := func(generic bool) int64 {
 		spec := jobspecSpec(generic)
-		j, err := sess.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &spec})
+		a, err := jobspec.Build(g, spec)
+		if err != nil {
+			t.Fatalf("Build(generic=%v): %v", generic, err)
+		}
+		j, err := sess.Launch(a, cluster.JobOptions{Spec: &spec})
 		if err != nil {
 			t.Fatalf("Launch(generic=%v): %v", generic, err)
 		}

@@ -20,57 +20,15 @@ import (
 	"time"
 
 	"gminer/internal/cluster"
-	"gminer/internal/core"
-	"gminer/internal/dyngraph"
-	"gminer/internal/graph"
 	"gminer/internal/metrics"
 	"gminer/internal/monitor"
 )
 
-// Cluster is the warm-session surface the daemon serves over. Both the
-// in-process cluster.Session and the multi-process cluster.RemoteSession
-// satisfy it; the registry and handlers are agnostic to which one backs
-// them.
-type Cluster interface {
-	Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error)
-	Graph() *graph.Graph
-	Config() cluster.Config
-	PartitionTime() time.Duration
-	EdgeCut() float64
-	Fingerprint() uint64
-	ActiveJobs() int
-	DroppedMessages() int64
-	// GraphEpoch is the resident graph's mutation epoch (0 on a static or
-	// remote session, monotonic on a dynamic one).
-	GraphEpoch() int64
-	// WithGraphRead runs fn while the resident graph is guaranteed not to
-	// mutate. On static sessions it is a plain call.
-	WithGraphRead(fn func())
-	Close()
-}
-
-// MutableCluster is the optional dynamic-graph extension of Cluster: only
-// the in-process cluster.Session started with Config.Dynamic implements a
-// true ApplyMutations (remote sessions reject Config.Dynamic at build
-// time, so POST /graph/mutations answers 501 there).
-type MutableCluster interface {
-	Cluster
-	Dynamic() bool
-	ApplyMutations(b dyngraph.Batch) (*cluster.EpochResult, error)
-}
-
-// WorkerHealthReporter is the optional multi-process extension of
-// Cluster: per-worker-process liveness for /healthz and /metrics. The
-// in-process Session does not implement it (its workers are goroutines —
-// alive iff the daemon is).
-type WorkerHealthReporter interface {
-	Ready() bool
-	WorkerHealth() []cluster.WorkerStatus
-}
-
-// Server serves mining jobs over one warm cluster session.
+// Server serves mining jobs over one warm cluster session: an in-process
+// one, or the coordinator of a multi-process cluster (its workers then
+// report per-process liveness on /healthz and /metrics).
 type Server struct {
-	sess  Cluster
+	sess  *cluster.Session
 	reg   *registry
 	cfg   Config
 	start time.Time
@@ -88,7 +46,7 @@ type Server struct {
 // New builds a Server over an already-warm session. The caller keeps
 // ownership of the session's graph (it must be fully prepared — labels,
 // attributes — before any job runs; see jobspec.Prepare).
-func New(sess Cluster, cfg Config) *Server {
+func New(sess *cluster.Session, cfg Config) *Server {
 	return &Server{
 		sess:  sess,
 		reg:   newRegistry(sess, cfg),
@@ -295,17 +253,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"uptime":      time.Since(s.start).Round(time.Millisecond).String(),
 		"graph":       map[string]int{"vertices": vertices},
 		"graph_epoch": s.sess.GraphEpoch(),
-		"dynamic":     s.reg.dynamic(),
+		"dynamic":     s.sess.Dynamic(),
 		"queued":      queued,
 		"running":     running,
 		"standing":    standing,
 		"sessions":    1,
 	}
-	if hr, ok := s.sess.(WorkerHealthReporter); ok {
+	if workers := s.sess.WorkerHealth(); workers != nil {
 		// Multi-process mode: the daemon is degraded (still 503, like
 		// draining — load balancers should not route here) until every
 		// worker slot has a live process attached.
-		workers := hr.WorkerHealth()
 		ws := make([]map[string]any, len(workers))
 		allUp := true
 		for i, st := range workers {
@@ -408,8 +365,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP gminer_result_cache_entries Result-cache entries resident.\n# TYPE gminer_result_cache_entries gauge\ngminer_result_cache_entries %d\n", cs.Entries)
 
 	// Multi-process cluster membership.
-	if hr, ok := s.sess.(WorkerHealthReporter); ok {
-		workers := hr.WorkerHealth()
+	if workers := s.sess.WorkerHealth(); workers != nil {
 		fmt.Fprintf(w, "# HELP gminer_cluster_workers Worker-process slots in the multi-process cluster.\n# TYPE gminer_cluster_workers gauge\ngminer_cluster_workers %d\n", len(workers))
 		fmt.Fprintf(w, "# HELP gminer_cluster_worker_up Whether a live worker process holds the slot (by node index).\n# TYPE gminer_cluster_worker_up gauge\n")
 		for _, st := range workers {
